@@ -270,4 +270,30 @@ cargo bench -p poisongame-bench --bench ingest -- --test
 echo "==> cargo bench -p poisongame-bench -- --test (smoke)"
 cargo bench -p poisongame-bench -- --test
 
+# Benchmark smoke: every BENCHMARK.json workload for 3 s, plus a traced
+# paper_table1 run, whose replay of the traced cells must match the
+# untraced outputs bit for bit. perfbench exits non-zero when any
+# correctness check fails (served vs in-process results, traced replay,
+# declared metric names); the gate also requires its final line to say
+# "correct":true with no failed operations.
+echo "==> perfbench smoke (each workload 3 s, traced paper_table1)"
+for run in "serve_warm_http 0" "serve_cold_ndjson 0" "paper_table1 0" "paper_table1 1"; do
+  read -r workload trace <<< "$run"
+  if ! BENCH_OUT=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 3 --trace "$trace"); then
+    echo "$BENCH_OUT" >&2
+    echo "perfbench $workload --trace $trace failed" >&2
+    exit 1
+  fi
+  BENCH_LAST=$(echo "$BENCH_OUT" | tail -n 1)
+  case "$BENCH_LAST" in
+    *'"correct":true'*'"failed":0,'*) ;;
+    *)
+      echo "$BENCH_OUT" >&2
+      echo "perfbench $workload --trace $trace reported a failure: $BENCH_LAST" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "CI green."

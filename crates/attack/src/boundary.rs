@@ -9,6 +9,17 @@
 //! "we can expect their locations to be near the boundary of the
 //! hypersphere with radius `r_i`" is realized exactly: every generated
 //! point lies at the target radius (just inside, by a small margin).
+//!
+//! # Cost
+//!
+//! Everything that does not change from point to point is resolved once
+//! per call: the anchor centroid (`O(d·n log n)` for the coordinate
+//! median, `O(n·d)` for the mean), the two class means (`O(n·d)`), and
+//! per claimed label the radius (`O(n·d + n log n)`: distances plus a
+//! sorted quantile) and the unit push direction (`O(d)`). Each poison
+//! point then costs `O(d)`: its jitter draws and one scaled add.
+//! [`MixedRadiusAttack`](crate::MixedRadiusAttack) shares the centroids
+//! across its allocations and resolves only a radius per allocation.
 
 use crate::error::AttackError;
 use crate::AttackStrategy;
@@ -261,76 +272,137 @@ impl BoundaryAttack {
     }
 }
 
-impl AttackStrategy for BoundaryAttack {
-    fn generate(
-        &self,
-        clean: &Dataset,
-        n_points: usize,
-        rng: &mut Xoshiro256StarStar,
-    ) -> Result<Dataset, AttackError> {
+/// The centroids a placement needs, independent of the radius: built
+/// once per call and shared by every point (and, in
+/// [`MixedRadiusAttack`](crate::MixedRadiusAttack), by every allocation).
+#[derive(Debug)]
+pub(crate) struct Geometry {
+    /// Radius anchors under the configured centroid policy and scope.
+    anchors: Anchors,
+    /// Class means `[negative, positive]`: they set the push direction,
+    /// which carries the discriminative geometry even when the robust
+    /// centroids of the two classes nearly coincide (sparse data).
+    means: [Vec<f64>; 2],
+}
+
+#[derive(Debug)]
+enum Anchors {
+    /// One centroid over the whole training set.
+    Global(Vec<f64>),
+    /// Each class's own centroid, `[negative, positive]`.
+    PerClass([Vec<f64>; 2]),
+}
+
+/// Index of a label in the `[negative, positive]` arrays above.
+fn slot(label: Label) -> usize {
+    usize::from(label == Label::Positive)
+}
+
+impl BoundaryAttack {
+    /// Resolve the centroids of `clean` under this attack's centroid
+    /// policy and anchor scope (the spec, inset and jitter play no part).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AttackError::DegenerateCleanData`] when a class is
+    /// missing.
+    pub(crate) fn geometry(&self, clean: &Dataset) -> Result<Geometry, AttackError> {
         if clean.class_count(Label::Positive) == 0 || clean.class_count(Label::Negative) == 0 {
             return Err(AttackError::DegenerateCleanData);
         }
-        let dim = clean.dim();
         // Radius anchors use the configured (defense-matching) centroid
         // and scope so a percentile placement lands at the intended
-        // rank of the defender's distance ordering...
-        let global_anchor = global_centroid(clean, self.centroid)?;
-        let class_anchors = [
-            class_centroid(clean, Label::Negative, self.centroid)?,
-            class_centroid(clean, Label::Positive, self.centroid)?,
-        ];
-        // ...while the *push direction* uses the class means, which
-        // carry the discriminative geometry even when the robust
-        // centroids of the two classes nearly coincide (sparse data).
-        let mean_centers = [
+        // rank of the defender's distance ordering.
+        let anchors = match self.anchor {
+            AnchorScope::Global => Anchors::Global(global_centroid(clean, self.centroid)?),
+            AnchorScope::PerClass => Anchors::PerClass([
+                class_centroid(clean, Label::Negative, self.centroid)?,
+                class_centroid(clean, Label::Positive, self.centroid)?,
+            ]),
+        };
+        let means = [
             class_centroid(clean, Label::Negative, CentroidKind::Mean)?,
             class_centroid(clean, Label::Positive, CentroidKind::Mean)?,
         ];
+        Ok(Geometry { anchors, means })
+    }
 
-        let mut poison = Dataset::empty(dim);
+    /// The label the `k`-th poison point claims.
+    fn claimed(&self, k: usize) -> Label {
+        match self.target {
+            TargetClass::Positive => Label::Positive,
+            TargetClass::Negative => Label::Negative,
+            TargetClass::Alternate => {
+                if k % 2 == 0 {
+                    Label::Positive
+                } else {
+                    Label::Negative
+                }
+            }
+        }
+    }
+
+    /// Place `n_points` poison points on `geometry` and append them to
+    /// `poison`.
+    ///
+    /// The inset radius and the unit push direction of a claimed label
+    /// are resolved on that label's first point and reused after, so an
+    /// invalid spec fails at the same point, after the same RNG draws,
+    /// as resolving them per point would, and `n_points == 0` never
+    /// resolves them at all.
+    ///
+    /// # Errors
+    ///
+    /// Propagates radius-resolution errors (see [`RadiusSpec::resolve`]).
+    pub(crate) fn place(
+        &self,
+        geometry: &Geometry,
+        clean: &Dataset,
+        n_points: usize,
+        rng: &mut Xoshiro256StarStar,
+        poison: &mut Dataset,
+    ) -> Result<(), AttackError> {
+        let dim = clean.dim();
+        // Per claimed label: (inset radius, unit push direction or
+        // `None` when the class means coincide).
+        let mut resolved: [Option<(f64, Option<Vec<f64>>)>; 2] = [None, None];
+        let mut dir = Vec::with_capacity(dim);
+        let mut noise = Vec::with_capacity(dim);
+        let mut point = Vec::with_capacity(dim);
         for k in 0..n_points {
-            let claimed = match self.target {
-                TargetClass::Positive => Label::Positive,
-                TargetClass::Negative => Label::Negative,
-                TargetClass::Alternate => {
-                    if k % 2 == 0 {
-                        Label::Positive
-                    } else {
-                        Label::Negative
-                    }
-                }
+            let claimed = self.claimed(k);
+            let own = match &geometry.anchors {
+                Anchors::Global(center) => center,
+                Anchors::PerClass(centers) => &centers[slot(claimed)],
             };
-            let (own, own_mean, other_mean) = match (self.anchor, claimed) {
-                (AnchorScope::Global, Label::Positive) => {
-                    (&global_anchor, &mean_centers[1], &mean_centers[0])
-                }
-                (AnchorScope::Global, Label::Negative) => {
-                    (&global_anchor, &mean_centers[0], &mean_centers[1])
-                }
-                (AnchorScope::PerClass, Label::Positive) => {
-                    (&class_anchors[1], &mean_centers[1], &mean_centers[0])
-                }
-                (AnchorScope::PerClass, Label::Negative) => {
-                    (&class_anchors[0], &mean_centers[0], &mean_centers[1])
-                }
-            };
-            let radius = match self.anchor {
-                AnchorScope::Global => self.spec.resolve_global(clean, own)?,
-                AnchorScope::PerClass => self.spec.resolve(clean, claimed, own)?,
-            };
-            let r = radius * (1.0 - self.inset).max(0.0);
+            if resolved[slot(claimed)].is_none() {
+                let radius = match geometry.anchors {
+                    Anchors::Global(_) => self.spec.resolve_global(clean, own)?,
+                    Anchors::PerClass(_) => self.spec.resolve(clean, claimed, own)?,
+                };
+                // Base direction: toward the other class (mean geometry).
+                let mut base = vector::sub(
+                    &geometry.means[slot(claimed.flipped())],
+                    &geometry.means[slot(claimed)],
+                );
+                let base = vector::normalize(&mut base).is_ok().then_some(base);
+                resolved[slot(claimed)] = Some((radius * (1.0 - self.inset).max(0.0), base));
+            }
+            let (r, base) = resolved[slot(claimed)].as_ref().expect("resolved above");
 
-            // Base direction: toward the other class (mean geometry).
-            let mut dir = vector::sub(other_mean, own_mean);
-            if vector::normalize(&mut dir).is_err() {
-                // Coincident centroids: any direction works.
-                dir = vec![0.0; dim];
-                dir[k % dim] = 1.0;
+            dir.clear();
+            match base {
+                Some(base) => dir.extend_from_slice(base),
+                None => {
+                    // Coincident centroids: any direction works.
+                    dir.resize(dim, 0.0);
+                    dir[k % dim] = 1.0;
+                }
             }
             // Orthogonalized jitter spreads points on the sphere cap.
             if self.jitter > 0.0 {
-                let mut noise: Vec<f64> = (0..dim).map(|_| standard_normal(rng)).collect();
+                noise.clear();
+                noise.extend((0..dim).map(|_| standard_normal(rng)));
                 let along = vector::dot(&noise, &dir);
                 vector::axpy(-along, &dir, &mut noise);
                 let noise_norm = vector::norm2(&noise);
@@ -339,10 +411,25 @@ impl AttackStrategy for BoundaryAttack {
                     let _ = vector::normalize(&mut dir);
                 }
             }
-            let mut point = own.clone();
-            vector::axpy(r, &dir, &mut point);
+            point.clear();
+            point.extend_from_slice(own);
+            vector::axpy(*r, &dir, &mut point);
             poison.push(&point, claimed)?;
         }
+        Ok(())
+    }
+}
+
+impl AttackStrategy for BoundaryAttack {
+    fn generate(
+        &self,
+        clean: &Dataset,
+        n_points: usize,
+        rng: &mut Xoshiro256StarStar,
+    ) -> Result<Dataset, AttackError> {
+        let geometry = self.geometry(clean)?;
+        let mut poison = Dataset::empty(clean.dim());
+        self.place(&geometry, clean, n_points, rng, &mut poison)?;
         Ok(poison)
     }
 }

@@ -127,12 +127,21 @@ impl AttackStrategy for MixedRadiusAttack {
             });
         }
         let mut poison = Dataset::empty(clean.dim());
+        if n_points == 0 {
+            return Ok(poison);
+        }
+        // Every allocation is a default-policy boundary placement and
+        // the centroids do not depend on the radius: resolve them once
+        // and place every allocation on them.
+        let geometry = BoundaryAttack::new(self.allocations[0].spec).geometry(clean)?;
         for alloc in &self.allocations {
-            if alloc.count == 0 {
-                continue;
-            }
-            let sub = BoundaryAttack::new(alloc.spec).generate(clean, alloc.count, rng)?;
-            poison.extend_from(&sub)?;
+            BoundaryAttack::new(alloc.spec).place(
+                &geometry,
+                clean,
+                alloc.count,
+                rng,
+                &mut poison,
+            )?;
         }
         Ok(poison)
     }

@@ -35,6 +35,16 @@ pub enum DataError {
     /// One of the two classes has no examples but the operation needs
     /// both.
     MissingClass,
+    /// A fitted column statistic is not finite: the column's values
+    /// are finite but too large for their mean or spread to be.
+    NonFiniteStatistic {
+        /// 0-based feature column.
+        column: usize,
+        /// Which statistic (`"mean"` or `"std"`).
+        what: &'static str,
+        /// Offending value.
+        value: f64,
+    },
     /// Underlying numerical error.
     Linalg(poisongame_linalg::LinalgError),
 }
@@ -54,6 +64,14 @@ impl fmt::Display for DataError {
             }
             DataError::DegenerateSplit => write!(f, "split leaves an empty side"),
             DataError::MissingClass => write!(f, "dataset lacks one of the two classes"),
+            DataError::NonFiniteStatistic {
+                column,
+                what,
+                value,
+            } => write!(
+                f,
+                "column {column} has a non-finite {what} ({value}); its values are too large to scale"
+            ),
             DataError::Linalg(e) => write!(f, "numerical error: {e}"),
         }
     }

@@ -24,12 +24,26 @@ impl MinMaxScaler {
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::Empty`] on an empty dataset.
+    /// Returns [`DataError::Empty`] on an empty dataset, and
+    /// [`DataError::NonFiniteStatistic`] when a column's mean or
+    /// standard deviation overflows (finite values near `±f64::MAX`),
+    /// which would otherwise scale the column to NaN.
     pub fn fit(data: &Dataset) -> Result<Self, DataError> {
         if data.is_empty() {
             return Err(DataError::Empty);
         }
         let summary = data.column_summary();
+        for (column, s) in summary.iter().enumerate() {
+            for (what, value) in [("mean", s.mean), ("std", s.std_dev)] {
+                if !value.is_finite() {
+                    return Err(DataError::NonFiniteStatistic {
+                        column,
+                        what,
+                        value,
+                    });
+                }
+            }
+        }
         Ok(Self {
             mins: summary.iter().map(|s| s.min).collect(),
             ranges: summary.iter().map(|s| s.max - s.min).collect(),
@@ -105,12 +119,26 @@ impl StandardScaler {
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::Empty`] on an empty dataset.
+    /// Returns [`DataError::Empty`] on an empty dataset, and
+    /// [`DataError::NonFiniteStatistic`] when a column's mean or
+    /// standard deviation overflows (finite values near `±f64::MAX`),
+    /// which would otherwise scale the column to NaN.
     pub fn fit(data: &Dataset) -> Result<Self, DataError> {
         if data.is_empty() {
             return Err(DataError::Empty);
         }
         let summary = data.column_summary();
+        for (column, s) in summary.iter().enumerate() {
+            for (what, value) in [("mean", s.mean), ("std", s.std_dev)] {
+                if !value.is_finite() {
+                    return Err(DataError::NonFiniteStatistic {
+                        column,
+                        what,
+                        value,
+                    });
+                }
+            }
+        }
         Ok(Self {
             means: summary.iter().map(|s| s.mean).collect(),
             stds: summary.iter().map(|s| s.std_dev).collect(),
@@ -244,6 +272,29 @@ mod tests {
         let scaled = scaler.transform(&test).unwrap();
         // 20 is outside the fitted range — scaling extrapolates past 1.
         assert_eq!(scaled.point(0)[0], 2.0);
+    }
+
+    #[test]
+    fn standard_scaler_rejects_overflowing_statistics() {
+        // Finite values whose sum overflows (mean) and whose squared
+        // deviations overflow (std): scaling would yield NaN features.
+        for (column, what, huge) in [
+            (1, "mean", vec![1e308, 1e308, 1e308]),
+            (1, "std", vec![1e308, -1e308, 1e308]),
+        ] {
+            let rows = huge.iter().map(|&v| vec![1.0, v]).collect();
+            let data = Dataset::from_rows(
+                rows,
+                vec![Label::Negative, Label::Positive, Label::Negative],
+            )
+            .unwrap();
+            match StandardScaler::fit(&data).unwrap_err() {
+                DataError::NonFiniteStatistic {
+                    column: c, what: w, ..
+                } => assert_eq!((c, w), (column, what)),
+                other => panic!("unexpected error {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -485,3 +485,51 @@ fn telemetry_never_rides_the_response_path() {
     client.shutdown().expect("shutdown");
     handle.join().expect("server exit");
 }
+
+#[test]
+fn overflowing_csv_text_is_an_error_reply_not_a_crash() {
+    // Finite ±1e308 values pass the CSV parser but overflow the
+    // scaler's statistics. Unchecked, they became NaN features and the
+    // boundary attack panicked on the shard's dispatcher thread, so the
+    // request never got a reply: the client runs on its own thread and
+    // a missing reply fails the test instead of hanging it.
+    let (addr, handle) = spawn_server(ServerConfig {
+        shards: 1,
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let text: String = (0..60)
+        .map(|i| {
+            let huge = if i % 2 == 0 { 1e308 } else { -1e308 };
+            format!("{huge:e},{},{}\n", (i % 7) as f64 * 0.1, i % 2)
+        })
+        .collect();
+    let hostile = CellRequest {
+        config: ExperimentConfig {
+            source: DataSource::CsvText { text },
+            ..quick_config(5)
+        },
+        ..CellRequest::default()
+    };
+    let (done, replies) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        match client.cell(&hostile).unwrap_err() {
+            ServeError::Server { code, message } => {
+                assert_eq!(code, ErrorCode::EvalFailed);
+                assert!(message.contains("non-finite"), "{message}");
+            }
+            other => panic!("expected a structured error, got {other:?}"),
+        }
+        // The one shard survived: the next request on it is served.
+        client
+            .cell(&quick_cell(6, Scenario::paper()))
+            .expect("good request after the hostile one");
+        client.shutdown().expect("shutdown");
+        done.send(()).expect("test thread waits");
+    });
+    replies
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("both requests answered and the server shut down");
+    handle.join().expect("server exit");
+}

@@ -310,17 +310,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
+            Some(&b) if b < 0x20 => return Err(err(*pos, "unescaped control character")),
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through verbatim).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let ch = rest.chars().next().expect("non-empty rest");
-                if (ch as u32) < 0x20 {
-                    return Err(err(*pos, "unescaped control character"));
-                }
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the whole run up to the next quote, backslash or
+                // control byte at once. Bytes of multi-byte UTF-8
+                // sequences are all >= 0x80, so the run ends on a
+                // character boundary and passes through verbatim.
+                let start = *pos;
+                let run = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .unwrap_or(bytes.len() - start);
+                *pos += run;
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|e| err(start + e.valid_up_to(), "invalid UTF-8"))?;
+                out.push_str(run);
             }
         }
     }
@@ -756,5 +760,142 @@ mod tests {
         assert!(num_array(&v, "missing").is_err());
         assert!(num_array(&v, "type").is_err());
         assert!(spec_type(&Json::Num(1.0), "attack").is_err());
+    }
+
+    /// The per-character string scanner the bulk-copy one replaced,
+    /// kept as the reference its outputs and errors must match.
+    fn parse_string_per_char(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+        expect(bytes, pos, b'"')?;
+        let mut out = String::new();
+        loop {
+            match bytes.get(*pos) {
+                None => return Err(err(*pos, "unterminated string")),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    match bytes.get(*pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(*pos + 1..*pos + 5)
+                                .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| err(*pos, "non-ASCII \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| err(*pos, "invalid \\u escape"))?;
+                            let ch = char::from_u32(code)
+                                .ok_or_else(|| err(*pos, "surrogate \\u escape unsupported"))?;
+                            out.push(ch);
+                            *pos += 4;
+                        }
+                        _ => return Err(err(*pos, "invalid escape")),
+                    }
+                    *pos += 1;
+                }
+                Some(_) => {
+                    let rest = std::str::from_utf8(&bytes[*pos..])
+                        .map_err(|_| err(*pos, "invalid UTF-8"))?;
+                    let ch = rest.chars().next().expect("non-empty rest");
+                    if (ch as u32) < 0x20 {
+                        return Err(err(*pos, "unescaped control character"));
+                    }
+                    out.push(ch);
+                    *pos += ch.len_utf8();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn string_scan_matches_per_char_reference() {
+        use poisongame_linalg::Xoshiro256StarStar;
+        use rand::SeedableRng;
+
+        // Fragments that exercise every branch: plain ASCII runs,
+        // multi-byte scalars, every escape, good and bad `\u`, raw
+        // control characters, and a stray closing quote or backslash
+        // at the end of the input.
+        const PIECES: &[&str] = &[
+            "a",
+            "plain text run ",
+            "é",
+            "中文",
+            "🦀",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\b",
+            "\\f",
+            "\\n",
+            "\\r",
+            "\\t",
+            "\\u0041",
+            "\\u00e9",
+            "\\u4e2d",
+            "\\u001f",
+            "\\uD800",
+            "\\u00G1",
+            "\\u12",
+            "\\ué000",
+            "\\x",
+            "\u{1}",
+            "\u{1f}",
+            "\t",
+            "\n",
+            "\u{7f}",
+            "\"",
+            "\\",
+        ];
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x150);
+        let (mut ok, mut failed) = (0, 0);
+        for _ in 0..4000 {
+            let mut text = String::from("\"");
+            for _ in 0..rng.next_raw() % 12 {
+                text.push_str(PIECES[(rng.next_raw() % PIECES.len() as u64) as usize]);
+            }
+            // Mostly closed strings, some left unterminated.
+            if rng.next_raw() % 4 != 0 {
+                text.push('"');
+            }
+            text.push_str(" ,");
+            let bytes = text.as_bytes();
+            let (mut fast_pos, mut ref_pos) = (0, 0);
+            let fast = parse_string(bytes, &mut fast_pos);
+            let reference = parse_string_per_char(bytes, &mut ref_pos);
+            assert_eq!(fast, reference, "{text:?}");
+            if fast.is_ok() {
+                assert_eq!(fast_pos, ref_pos, "{text:?}");
+                ok += 1;
+            } else {
+                failed += 1;
+            }
+        }
+        assert!(ok > 500 && failed > 500, "{ok} ok / {failed} failed");
+    }
+
+    #[test]
+    fn megabyte_string_round_trips() {
+        // Above 1 MiB of mixed ASCII, multi-byte text, escapes and
+        // control characters: a per-character scan that re-validated
+        // the rest of the input would take minutes here.
+        let unit = "row,1.5,-2e-3,\"quoted\"\\path\té中🦀\n\u{1}";
+        let big = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(big.len() > 1 << 20);
+        let doc = Json::obj(vec![("csv_text", Json::str(&big))]);
+        let parsed = Json::parse(&doc.render()).unwrap();
+        assert_eq!(
+            parsed.get("csv_text").and_then(Json::as_str),
+            Some(big.as_str())
+        );
     }
 }

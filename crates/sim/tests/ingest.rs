@@ -5,10 +5,11 @@
 
 use poisongame_data::csv::to_csv;
 use poisongame_data::synth::{spambase_like, SpambaseConfig};
+use poisongame_data::DataError;
 use poisongame_io::checksum_bytes;
 use poisongame_linalg::Xoshiro256StarStar;
 use poisongame_sim::error::SimError;
-use poisongame_sim::pipeline::{prepare_data, DataSource};
+use poisongame_sim::pipeline::{prepare, prepare_data, DataSource, ExperimentConfig};
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 
@@ -279,4 +280,57 @@ fn prep_key_ignores_chunking_knobs() {
         0.3,
     );
     assert_ne!(a, no_sum);
+}
+
+/// 60 rows whose first column alternates ±1e308: every value is finite
+/// and passes the parsers, but its running sum or its squared
+/// deviations overflow.
+fn overflowing_csv() -> String {
+    (0..60)
+        .map(|i| {
+            let huge = if i % 2 == 0 { 1e308 } else { -1e308 };
+            format!("{huge:e},{},{}\n", (i % 7) as f64 * 0.1, i % 2)
+        })
+        .collect()
+}
+
+#[test]
+fn overflowing_column_is_a_structured_error_on_every_source() {
+    // Before the scaler checked its statistics, this prepared NaN
+    // features and the first boundary-attack cell panicked computing a
+    // median of them.
+    let text = overflowing_csv();
+    let path = temp_dir("overflow").join("huge.csv");
+    std::fs::write(&path, &text).unwrap();
+    let sources = [
+        DataSource::CsvText { text },
+        DataSource::File {
+            path: path.display().to_string(),
+            checksum: None,
+            format: "csv".to_string(),
+            chunk_rows: None,
+            max_inflight_chunks: None,
+        },
+        DataSource::File {
+            path: path.display().to_string(),
+            checksum: None,
+            format: "csv".to_string(),
+            chunk_rows: Some(16),
+            max_inflight_chunks: Some(2),
+        },
+    ];
+    for source in &sources {
+        let config = ExperimentConfig {
+            source: source.clone(),
+            ..ExperimentConfig::paper()
+        };
+        match prepare(&config).map(|_| ()) {
+            // Mean or std, depending on where the split put the rows.
+            Err(SimError::Data(DataError::NonFiniteStatistic { column, .. })) => {
+                assert_eq!(column, 0);
+            }
+            other => panic!("expected a non-finite statistic error, got {other:?}"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }
