@@ -25,12 +25,6 @@ cargo test -q
 echo "==> cargo run --release --example scenario_matrix"
 cargo run --release --example scenario_matrix
 
-# The same grid on the batched training path: minibatch fit kernel +
-# fused cross-cell evaluation. Keeps the PR-6 throughput shape from
-# rotting while the bit-exact default path stays the test baseline.
-echo "==> cargo run --release --example scenario_matrix -- minibatch"
-cargo run --release --example scenario_matrix -- minibatch
-
 # Server smoke: boot the serve daemon on an ephemeral port, drive a
 # small mixed workload (solve + cell + estimate + stats) through the
 # client, request shutdown, and assert a clean drain-and-exit.
@@ -235,8 +229,8 @@ rm -f "$SERVE_PORT_FILE" "$GW_PORT_FILE"
 echo "==> cargo run --release --example online_play"
 cargo run --release --example online_play
 
-# Training-kernel bench in smoke mode, named explicitly: row SGD vs
-# the blocked minibatch fit, plus the 24-cell grid with fused eval.
+# Training bench in smoke mode, named explicitly: SVM and logistic
+# regression fits at three sizes, plus the 24-cell grid.
 echo "==> cargo bench -p poisongame-bench --bench train_kernel -- --test (smoke)"
 cargo bench -p poisongame-bench --bench train_kernel -- --test
 

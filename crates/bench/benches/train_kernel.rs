@@ -1,26 +1,19 @@
-//! Bench: the PR-6 batched training kernel. Two comparisons:
+//! Bench: the training loop. Two measurements:
 //!
-//! * **fit** — one `LinearSvm::fit` on synthetic Spambase at several
-//!   dataset sizes, row-at-a-time SGD (`FitKernel::RowSgd`, the
-//!   bit-exact golden reference) vs the blocked minibatch path
-//!   (`FitKernel::Minibatch`), which gathers each batch into a packed
-//!   panel and computes its margins with one `gemv` per row block.
+//! * **fit** — one 100-epoch `fit` of the linear SVM and of logistic
+//!   regression on synthetic Spambase at several dataset sizes. Both
+//!   learners run the same row-at-a-time SGD loop, each with its own
+//!   loss step.
 //! * **matrix24** — the 24-cell scenario grid end to end through
-//!   [`EvalEngine`], historical shape (row SGD, per-cell eval) vs the
-//!   batched shape (minibatch fit + fused cross-cell evaluation).
-//!
-//! The minibatch path is *not* bit-identical to row SGD (margins are
-//! computed against a per-batch snapshot of the weights), so there is
-//! no cross-arm total assertion here — accuracy equivalence is pinned
-//! by the property tests in `poisongame-ml` instead. The fused-eval
-//! knob alone *is* bit-identical; `sim::scenario` pins that.
+//!   [`EvalEngine`]: per cell, attack → filter → fit → held-out
+//!   evaluation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use poisongame_bench::{bench_dataset, bench_experiment_config};
+use poisongame_ml::logreg::LogisticRegression;
 use poisongame_ml::svm::LinearSvm;
-use poisongame_ml::{Classifier, FitKernel, TrainConfig};
+use poisongame_ml::{Classifier, TrainConfig};
 use poisongame_sim::engine::EvalEngine;
-use poisongame_sim::pipeline::ExperimentConfig;
 use poisongame_sim::scenario::ScenarioMatrix;
 use std::hint::black_box;
 
@@ -46,10 +39,9 @@ const SPEC: &str = r#"{
     "placement_slack": 0.01
 }"#;
 
-fn fit_config(kernel: FitKernel) -> TrainConfig {
+fn fit_config() -> TrainConfig {
     TrainConfig {
         epochs: 100,
-        kernel,
         ..TrainConfig::default()
     }
 }
@@ -62,44 +54,42 @@ fn bench_fit(c: &mut Criterion) {
         let data = bench_dataset(rows);
         group.bench_with_input(BenchmarkId::new("row_sgd", rows), &data, |b, data| {
             b.iter(|| {
-                let mut svm = LinearSvm::new(fit_config(FitKernel::RowSgd));
+                let mut svm = LinearSvm::new(fit_config());
                 svm.fit(black_box(data)).expect("training succeeds");
                 black_box(svm.bias())
             })
         });
-        group.bench_with_input(BenchmarkId::new("minibatch64", rows), &data, |b, data| {
+        group.bench_with_input(BenchmarkId::new("logreg", rows), &data, |b, data| {
             b.iter(|| {
-                let mut svm = LinearSvm::new(fit_config(FitKernel::Minibatch { batch: 64 }));
-                svm.fit(black_box(data)).expect("training succeeds");
-                black_box(svm.bias())
+                let mut model = LogisticRegression::new(fit_config());
+                model.fit(black_box(data)).expect("training succeeds");
+                black_box(model.bias())
             })
         });
     }
     group.finish();
 }
 
-fn grid_total(config: &ExperimentConfig, matrix: &ScenarioMatrix, fused: bool) -> f64 {
-    let engine = EvalEngine::new().fused_eval(fused);
-    let results = engine.run_matrix(config, matrix).expect("grid runs");
-    results.cells.iter().map(|c| c.outcome.accuracy).sum()
-}
-
 fn bench_matrix24(c: &mut Criterion) {
-    let row_config = bench_experiment_config();
-    let batched_config = ExperimentConfig {
-        fit_kernel: FitKernel::Minibatch { batch: 64 },
-        ..row_config.clone()
-    };
+    let config = bench_experiment_config();
     let matrix = ScenarioMatrix::from_json_str(SPEC).expect("spec parses");
     assert_eq!(matrix.len(), 24);
 
     let mut group = c.benchmark_group("train_kernel/matrix24");
     group.sample_size(10);
     group.bench_function("row_sgd", |b| {
-        b.iter(|| black_box(grid_total(&row_config, &matrix, false)))
-    });
-    group.bench_function("minibatch64_fused", |b| {
-        b.iter(|| black_box(grid_total(&batched_config, &matrix, true)))
+        b.iter(|| {
+            let results = EvalEngine::new()
+                .run_matrix(&config, &matrix)
+                .expect("grid runs");
+            black_box(
+                results
+                    .cells
+                    .iter()
+                    .map(|c| c.outcome.accuracy)
+                    .sum::<f64>(),
+            )
+        })
     });
     group.finish();
 }

@@ -14,7 +14,6 @@ use poisongame_data::synth::{spambase_like, SpambaseConfig};
 use poisongame_data::Dataset;
 use poisongame_defense::CentroidEstimator;
 use poisongame_linalg::Xoshiro256StarStar;
-use poisongame_ml::FitKernel;
 use poisongame_sim::pipeline::{DataSource, ExperimentConfig};
 use poisongame_sim::scenario::Scenario;
 use rand::SeedableRng;
@@ -31,7 +30,6 @@ pub fn bench_experiment_config() -> ExperimentConfig {
         centroid: CentroidEstimator::CoordinateMedian,
         solver: SolverKind::Auto,
         warm_start: false,
-        fit_kernel: FitKernel::RowSgd,
         scenario: Scenario::default(),
     }
 }

@@ -1,5 +1,5 @@
-//! Cache-blocked dense kernels: multi-RHS matrix products, fused
-//! margin evaluation and fused subgradient updates.
+//! Cache-blocked dense kernels: multi-RHS matrix products and
+//! matrix-vector products.
 //!
 //! The scalar loops in [`crate::vector`] stay the semantic reference;
 //! everything here is a *blocked re-tiling of the same arithmetic*.
@@ -8,8 +8,8 @@
 //! 754 multiplication is commutative bit-for-bit, so the kernels are
 //! bit-identical to the naive per-row dot products — blocking only
 //! changes memory traffic, never results. That invariant is what lets
-//! the simulation engine batch many cells' margin computations into
-//! one multi-RHS product without perturbing golden-path bytes.
+//! held-out evaluation (`poisongame_ml::batch::batched_accuracy`) run
+//! through the blocked product without perturbing golden-path bytes.
 //!
 //! # Example
 //!
@@ -43,8 +43,7 @@ const ROW_BLOCK: usize = 128;
 const RHS_BLOCK: usize = 16;
 
 /// Anything that exposes equal-length rows of `f64` — the common face
-/// of [`Matrix`], [`MatrixView`] and [`RowPanel`] that the blocked
-/// kernels tile over.
+/// of [`Matrix`] and [`MatrixView`] that the blocked kernels tile over.
 pub trait RowSource {
     /// Number of rows.
     fn rows(&self) -> usize;
@@ -90,101 +89,6 @@ impl<T: RowSource + ?Sized> RowSource for &T {
     }
 }
 
-/// An owned, contiguous, reusable row panel — the gather target for
-/// minibatch training (rows copied out of a [`RowSource`] in shuffle
-/// order) and the packing buffer the blocked product reads its
-/// right-hand side from.
-///
-/// Unlike [`Matrix`] it is built to be recycled: [`RowPanel::clear`]
-/// keeps the allocation, so a training loop gathers thousands of
-/// batches into the same buffer.
-#[derive(Debug, Clone, Default)]
-pub struct RowPanel {
-    cols: usize,
-    data: Vec<f64>,
-}
-
-impl RowPanel {
-    /// An empty panel whose rows will have `cols` entries.
-    pub fn new(cols: usize) -> Self {
-        Self {
-            cols,
-            data: Vec::new(),
-        }
-    }
-
-    /// An empty panel with room for `rows` rows pre-allocated.
-    pub fn with_capacity(rows: usize, cols: usize) -> Self {
-        Self {
-            cols,
-            data: Vec::with_capacity(rows * cols),
-        }
-    }
-
-    /// Drop all rows but keep the allocation (and the width).
-    pub fn clear(&mut self) {
-        self.data.clear();
-    }
-
-    /// Number of gathered rows.
-    pub fn rows(&self) -> usize {
-        self.data.len().checked_div(self.cols).unwrap_or(0)
-    }
-
-    /// Row width.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Append one row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len()` differs from the panel width.
-    pub fn push(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.cols, "RowPanel::push: width mismatch");
-        self.data.extend_from_slice(row);
-    }
-
-    /// Borrow row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows()`.
-    pub fn row(&self, r: usize) -> &[f64] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// The flat row-major buffer.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-}
-
-impl RowSource for RowPanel {
-    fn rows(&self) -> usize {
-        RowPanel::rows(self)
-    }
-    fn cols(&self) -> usize {
-        RowPanel::cols(self)
-    }
-    fn row(&self, r: usize) -> &[f64] {
-        RowPanel::row(self, r)
-    }
-}
-
-/// Pack every row of `src` into one contiguous panel. This is the
-/// transposed-panel step of the blocked product: a [`MatrixView`]'s
-/// base/tail split (or any other scattered row source) becomes a
-/// single linear buffer the inner loops stream through.
-pub fn pack_rows(src: &impl RowSource) -> RowPanel {
-    let mut panel = RowPanel::with_capacity(src.rows(), src.cols());
-    for r in 0..src.rows() {
-        panel.push(src.row(r));
-    }
-    panel
-}
-
 /// The macro-kernel: one `ROW_BLOCK`-sized band of the output.
 ///
 /// Computes rows `i0 .. i0 + out.len() / n` of `C = A Bᵀ` into `out`
@@ -195,7 +99,7 @@ pub fn pack_rows(src: &impl RowSource) -> RowPanel {
 /// reduction reordering.
 fn gemm_nt_block(
     a: &impl RowSource,
-    panel: &RowPanel,
+    panel: &Matrix,
     k: usize,
     n: usize,
     i0: usize,
@@ -298,7 +202,13 @@ pub fn gemm_nt_parallel(
     if m == 0 || n == 0 {
         return Ok(Matrix::zeros(m, n));
     }
-    let panel = pack_rows(b);
+    // Pack the right-hand sides (a view's base/tail split, or any
+    // other scattered row source) into one contiguous buffer the inner
+    // loops stream through.
+    let mut panel = Matrix::zeros(n, k);
+    for j in 0..n {
+        panel.row_mut(j).copy_from_slice(b.row(j));
+    }
     let mut data = vec![0.0; m * n];
     if participants <= 1 {
         for (band, out) in data.chunks_mut(ROW_BLOCK * n).enumerate() {
@@ -358,125 +268,6 @@ pub fn gemv(a: &impl RowSource, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
         i += 1;
     }
     Ok(out)
-}
-
-/// Fused margin kernel: `out[i] = labels[i] * (dot(x.row(i), w) + bias)`
-/// in one pass over the rows — the hinge/logistic margin `y ⊙ (Xw + b)`
-/// without materializing the intermediate product. `out` is cleared and
-/// refilled, keeping its allocation across calls.
-///
-/// Bit-identical to computing `y * (dot(w, x) + b)` per row (IEEE 754
-/// products commute bitwise; accumulation order is `vector::dot`'s).
-///
-/// # Errors
-///
-/// Returns [`LinalgError::DimensionMismatch`] if `labels.len() !=
-/// x.rows()` or `w.len() != x.cols()`.
-pub fn fused_margins(
-    x: &impl RowSource,
-    labels: &[f64],
-    w: &[f64],
-    bias: f64,
-    out: &mut Vec<f64>,
-) -> Result<(), LinalgError> {
-    if labels.len() != x.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            left: x.rows(),
-            right: labels.len(),
-        });
-    }
-    if w.len() != x.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            left: x.cols(),
-            right: w.len(),
-        });
-    }
-    let (m, k) = (x.rows(), x.cols());
-    out.clear();
-    out.reserve(m);
-    let mut i = 0;
-    while i + 4 <= m {
-        let r0 = &x.row(i)[..k];
-        let r1 = &x.row(i + 1)[..k];
-        let r2 = &x.row(i + 2)[..k];
-        let r3 = &x.row(i + 3)[..k];
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-        for (t, &wv) in w.iter().enumerate() {
-            s0 += r0[t] * wv;
-            s1 += r1[t] * wv;
-            s2 += r2[t] * wv;
-            s3 += r3[t] * wv;
-        }
-        out.push(labels[i] * (s0 + bias));
-        out.push(labels[i + 1] * (s1 + bias));
-        out.push(labels[i + 2] * (s2 + bias));
-        out.push(labels[i + 3] * (s3 + bias));
-        i += 4;
-    }
-    while i < m {
-        out.push(labels[i] * (vector::dot(x.row(i), w) + bias));
-        i += 1;
-    }
-    Ok(())
-}
-
-/// Fused scale-then-accumulate update
-/// `w ← shrink·w + Σ coeffs[p] · x.row(picked[p])`
-/// — the aggregated minibatch subgradient step. The scale is folded
-/// into the first accumulated row's pass, so a batch with violators
-/// touches `w` one fewer time than a separate scale + axpy sequence
-/// (same two arithmetic ops per entry, so bit-identical to it: Rust
-/// never contracts `a*b + c` into a fused multiply-add).
-///
-/// With `picked` empty this degrades to a plain scale (a no-op when
-/// `shrink == 1.0`). Callers encode "skip the scale" (e.g. the SGD
-/// guard against non-positive shrink factors) by passing `1.0`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::DimensionMismatch`] if `picked` and `coeffs`
-/// differ in length or `w.len() != x.cols()`.
-pub fn scale_accumulate(
-    shrink: f64,
-    x: &impl RowSource,
-    picked: &[usize],
-    coeffs: &[f64],
-    w: &mut [f64],
-) -> Result<(), LinalgError> {
-    if picked.len() != coeffs.len() {
-        return Err(LinalgError::DimensionMismatch {
-            left: picked.len(),
-            right: coeffs.len(),
-        });
-    }
-    if w.len() != x.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            left: x.cols(),
-            right: w.len(),
-        });
-    }
-    match picked.split_first() {
-        None => {
-            if shrink != 1.0 {
-                vector::scale(shrink, w);
-            }
-        }
-        Some((&first, rest)) => {
-            let c0 = coeffs[0];
-            let row0 = &x.row(first)[..w.len()];
-            if shrink != 1.0 {
-                for (t, wv) in w.iter_mut().enumerate() {
-                    *wv = shrink * *wv + c0 * row0[t];
-                }
-            } else {
-                vector::axpy(c0, row0, w);
-            }
-            for (&r, &c) in rest.iter().zip(&coeffs[1..]) {
-                vector::axpy(c, x.row(r), w);
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -597,98 +388,5 @@ mod tests {
             assert_eq!(fast, naive, "gemv diverged at {m}x{k}");
         }
         assert!(gemv(&Matrix::zeros(2, 3), &[1.0]).is_err());
-    }
-
-    #[test]
-    fn fused_margins_matches_scalar_margins_bitwise() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(0xF05D);
-        for &(m, k) in &[(1, 4), (6, 57), (9, 3), (133, 21)] {
-            let x = random_matrix(m, k, &mut rng);
-            let w: Vec<f64> = (0..k).map(|_| rng.next_f64() - 0.5).collect();
-            let labels: Vec<f64> = (0..m)
-                .map(|_| if rng.next_f64() < 0.5 { -1.0 } else { 1.0 })
-                .collect();
-            let bias = rng.next_f64();
-            let mut out = Vec::new();
-            fused_margins(&x, &labels, &w, bias, &mut out).unwrap();
-            // The SGD loop computes dot(w, x): operand order swapped,
-            // still bitwise equal (IEEE multiplication commutes).
-            let naive: Vec<f64> = (0..m)
-                .map(|i| labels[i] * (vector::dot(&w, x.row(i)) + bias))
-                .collect();
-            assert_eq!(out, naive, "margins diverged at {m}x{k}");
-        }
-    }
-
-    #[test]
-    fn fused_margins_validates_shapes_and_reuses_buffer() {
-        let x = Matrix::zeros(3, 2);
-        let mut out = vec![9.0; 10];
-        assert!(fused_margins(&x, &[1.0; 2], &[0.0; 2], 0.0, &mut out).is_err());
-        assert!(fused_margins(&x, &[1.0; 3], &[0.0; 5], 0.0, &mut out).is_err());
-        fused_margins(&x, &[1.0; 3], &[0.0; 2], 0.5, &mut out).unwrap();
-        assert_eq!(out, vec![0.5; 3]);
-    }
-
-    #[test]
-    fn scale_accumulate_is_bit_identical_to_scale_then_axpys() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(0x5CA1E);
-        let x = random_matrix(20, 11, &mut rng);
-        for (shrink, picked) in [
-            (0.97_f64, vec![0usize, 5, 5, 19]),
-            (1.0, vec![3, 2]),
-            (0.5, vec![]),
-            (1.0, vec![]),
-        ] {
-            let picked: &[usize] = &picked;
-            let coeffs: Vec<f64> = picked.iter().map(|_| rng.next_f64() - 0.5).collect();
-            let w0: Vec<f64> = (0..11).map(|_| rng.next_f64()).collect();
-
-            let mut fused = w0.clone();
-            scale_accumulate(shrink, &x, picked, &coeffs, &mut fused).unwrap();
-
-            let mut reference = w0.clone();
-            if shrink != 1.0 {
-                vector::scale(shrink, &mut reference);
-            }
-            for (&r, &c) in picked.iter().zip(&coeffs) {
-                vector::axpy(c, x.row(r), &mut reference);
-            }
-            assert_eq!(fused, reference, "update diverged (shrink {shrink})");
-        }
-    }
-
-    #[test]
-    fn scale_accumulate_validates_shapes() {
-        let x = Matrix::zeros(4, 3);
-        let mut w = vec![0.0; 3];
-        assert!(scale_accumulate(1.0, &x, &[0, 1], &[1.0], &mut w).is_err());
-        let mut short = vec![0.0; 2];
-        assert!(scale_accumulate(1.0, &x, &[0], &[1.0], &mut short).is_err());
-    }
-
-    #[test]
-    fn row_panel_gathers_and_recycles() {
-        let mut panel = RowPanel::with_capacity(2, 3);
-        assert_eq!(panel.rows(), 0);
-        panel.push(&[1.0, 2.0, 3.0]);
-        panel.push(&[4.0, 5.0, 6.0]);
-        assert_eq!(panel.rows(), 2);
-        assert_eq!(panel.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(panel.as_slice().len(), 6);
-        panel.clear();
-        assert_eq!(panel.rows(), 0);
-        panel.push(&[7.0, 8.0, 9.0]);
-        assert_eq!(panel.row(0), &[7.0, 8.0, 9.0]);
-    }
-
-    #[test]
-    fn pack_rows_linearizes_a_view() {
-        let base = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        let tail = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
-        let view = MatrixView::with_tail(&base, tail).unwrap();
-        let panel = pack_rows(&view);
-        assert_eq!(panel.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(panel.rows(), 2);
     }
 }

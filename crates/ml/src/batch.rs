@@ -1,15 +1,14 @@
-//! Cross-model batched evaluation: score many fitted linear states
-//! against one feature matrix in a single blocked product.
+//! Held-out evaluation of fitted linear states through one blocked
+//! product.
 //!
-//! Simulation cells that share a prepared dataset differ only in their
-//! fitted `(w, b)`; evaluating them one model at a time re-streams the
-//! test matrix once per cell. [`batched_accuracy`] stacks the weight
-//! vectors into one right-hand-side panel and computes every cell's
-//! decision values in one [`gemm::gemm_nt`] call. The kernel
-//! accumulates in [`poisongame_linalg::vector::dot`] order, so each
-//! returned accuracy is bit-identical to
+//! Every experiment cell scores its fitted `(w, b)` here. The weight
+//! vectors are stacked into one right-hand-side panel and every
+//! state's decision values come from one [`gemm::gemm_nt`] call, which
+//! streams the test matrix once however many states are passed. The
+//! kernel accumulates in [`poisongame_linalg::vector::dot`] order, so
+//! each returned accuracy is bit-identical to
 //! [`Classifier::accuracy_on`](crate::Classifier::accuracy_on) on the
-//! same state — batching is a pure memory-traffic optimization.
+//! same state.
 
 use crate::error::MlError;
 use crate::model::LinearState;

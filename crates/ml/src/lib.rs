@@ -26,15 +26,15 @@
 
 pub mod batch;
 pub mod error;
-mod kernel;
 pub mod logreg;
 pub mod loss;
 pub mod metrics;
 pub mod model;
 pub mod perceptron;
 pub mod schedule;
+mod sgd;
 pub mod svm;
 pub mod validate;
 
 pub use error::MlError;
-pub use model::{Classifier, FitKernel, LinearState, TrainConfig};
+pub use model::{Classifier, LinearState, TrainConfig};

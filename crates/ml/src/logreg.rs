@@ -5,15 +5,11 @@
 //! accuracy curves.
 
 use crate::error::MlError;
-use crate::kernel::BatchScratch;
 use crate::loss;
-use crate::model::{
-    check_trainable, check_warm_start, Classifier, FitKernel, LinearState, TrainConfig,
-};
+use crate::model::{Classifier, LinearState, TrainConfig};
+use crate::sgd;
 use poisongame_data::DataView;
-use poisongame_linalg::rng::{shuffled_indices, Xoshiro256StarStar};
 use poisongame_linalg::vector;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Binary logistic regression with L2 regularization.
@@ -72,87 +68,6 @@ impl LogisticRegression {
     pub fn predict_proba(&self, x: &[f64]) -> Result<f64, MlError> {
         Ok(loss::sigmoid(self.decision_function(x)?))
     }
-
-    /// The shared SGD loop: cold starts pass `init = None` (weights at
-    /// the origin — the historical path, bit for bit), warm starts the
-    /// neighbouring cell's state.
-    fn fit_impl(&mut self, data: &dyn DataView, init: Option<&LinearState>) -> Result<(), MlError> {
-        self.config.validate()?;
-        check_trainable(data)?;
-
-        let dim = data.dim();
-        let n = data.len();
-        let (mut w, mut b) = match init {
-            Some(state) => {
-                check_warm_start(state, dim)?;
-                (state.weights.clone(), state.bias)
-            }
-            None => (vec![0.0; dim], 0.0),
-        };
-        let mut rng = Xoshiro256StarStar::seed_from_u64(self.config.seed);
-        let mut t: u64 = 0;
-        let mut scratch = match self.config.kernel {
-            FitKernel::Minibatch { batch } => Some((batch, BatchScratch::new(dim, batch.min(n)))),
-            FitKernel::RowSgd => None,
-        };
-
-        for epoch in 0..self.config.epochs {
-            let order = shuffled_indices(n, &mut rng);
-            match scratch.as_mut() {
-                None => {
-                    for &i in &order {
-                        t += 1;
-                        let eta = self.config.schedule.rate(t);
-                        let x = data.point(i);
-                        let y = data.label(i).to_signed();
-                        let margin = y * (vector::dot(&w, x) + b);
-                        // dL/dw = logistic_grad(margin) * y * x + lambda * w
-                        let g = loss::logistic_grad(margin) * y;
-                        let shrink = 1.0 - eta * self.config.lambda;
-                        if shrink > 0.0 {
-                            vector::scale(shrink, &mut w);
-                        }
-                        vector::axpy(-eta * g, x, &mut w);
-                        if self.config.fit_bias {
-                            b -= eta * g;
-                        }
-                    }
-                }
-                Some((batch, scratch)) => {
-                    // One schedule step per batch; every row contributes
-                    // its logistic gradient, averaged over the batch.
-                    for chunk in order.chunks(*batch) {
-                        t += 1;
-                        let eta = self.config.schedule.rate(t);
-                        scratch.gather(data, chunk);
-                        scratch.compute_margins(&w, b);
-                        let blen = chunk.len() as f64;
-                        scratch.picked.clear();
-                        scratch.coeffs.clear();
-                        let mut grad_sum = 0.0;
-                        for j in 0..chunk.len() {
-                            let g = loss::logistic_grad(scratch.margins[j]) * scratch.labels[j];
-                            scratch.picked.push(j);
-                            scratch.coeffs.push(-eta * g / blen);
-                            grad_sum += g;
-                        }
-                        let shrink = 1.0 - eta * self.config.lambda;
-                        scratch.apply(if shrink > 0.0 { shrink } else { 1.0 }, &mut w);
-                        if self.config.fit_bias {
-                            b -= eta * grad_sum / blen;
-                        }
-                    }
-                }
-            }
-            if !vector::all_finite(&w) || !b.is_finite() {
-                return Err(MlError::Diverged { epoch });
-            }
-        }
-
-        self.weights = Some(w);
-        self.bias = if self.config.fit_bias { b } else { 0.0 };
-        Ok(())
-    }
 }
 
 impl Default for LogisticRegression {
@@ -163,11 +78,15 @@ impl Default for LogisticRegression {
 
 impl Classifier for LogisticRegression {
     fn fit(&mut self, data: &dyn DataView) -> Result<(), MlError> {
-        self.fit_impl(data, None)
-    }
-
-    fn fit_from(&mut self, data: &dyn DataView, init: &LinearState) -> Result<(), MlError> {
-        self.fit_impl(data, Some(init))
+        // dL/dw = logistic_grad(margin) * y * x + lambda * w; every row
+        // steps.
+        let (w, b) = sgd::fit(&self.config, data, |margin, y, eta| {
+            let g = loss::logistic_grad(margin) * y;
+            Some(-eta * g)
+        })?;
+        self.weights = Some(w);
+        self.bias = b;
+        Ok(())
     }
 
     fn linear_state(&self) -> Option<LinearState> {
@@ -194,6 +113,8 @@ mod tests {
     use super::*;
     use poisongame_data::synth::gaussian_blobs;
     use poisongame_data::Dataset;
+    use poisongame_linalg::Xoshiro256StarStar;
+    use rand::SeedableRng;
 
     fn blobs(seed: u64) -> Dataset {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
@@ -255,23 +176,5 @@ mod tests {
     fn rejects_untrainable_sets() {
         let mut m = LogisticRegression::with_defaults();
         assert!(m.fit(&Dataset::empty(2)).is_err());
-    }
-
-    #[test]
-    fn minibatch_kernel_learns_like_row_sgd() {
-        let data = blobs(24);
-        let cfg = TrainConfig {
-            epochs: 60,
-            ..TrainConfig::default()
-        };
-        let mut row = LogisticRegression::new(cfg.clone());
-        row.fit(&data).unwrap();
-        let mut mb = LogisticRegression::new(TrainConfig {
-            kernel: FitKernel::Minibatch { batch: 16 },
-            ..cfg
-        });
-        mb.fit(&data).unwrap();
-        let (ra, ma) = (row.accuracy_on(&data), mb.accuracy_on(&data));
-        assert!((ra - ma).abs() <= 0.03, "row {ra} vs minibatch {ma}");
     }
 }

@@ -5,29 +5,6 @@ use crate::schedule::Schedule;
 use poisongame_data::{DataView, Label};
 use serde::{Deserialize, Serialize};
 
-/// Selects the inner training loop of the SGD learners.
-///
-/// [`FitKernel::RowSgd`] is the historical row-at-a-time loop and the
-/// bit-exact golden reference; every recorded experiment byte was
-/// produced by it and it stays the default. [`FitKernel::Minibatch`]
-/// gathers `batch` shuffled rows per step, computes their margins in
-/// one pass through the blocked [`poisongame_linalg::gemm`] kernels
-/// and applies the aggregated (averaged) subgradient. The two paths
-/// visit rows in the *same* shuffled order from the *same* seed, but
-/// aggregation changes the update sequence, so minibatch results are
-/// equivalent in accuracy (tolerance-pinned by tests), not in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum FitKernel {
-    /// Row-at-a-time SGD — the bit-exact golden reference (default).
-    #[default]
-    RowSgd,
-    /// Aggregated subgradient over GEMM-computed batch margins.
-    Minibatch {
-        /// Rows per batch (must be ≥ 1; the tail batch may be smaller).
-        batch: usize,
-    },
-}
-
 /// Shared configuration for the SGD-trained linear models.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
@@ -43,8 +20,6 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Whether to fit an intercept term.
     pub fit_bias: bool,
-    /// Which inner training loop to run (row-at-a-time by default).
-    pub kernel: FitKernel,
 }
 
 impl Default for TrainConfig {
@@ -55,7 +30,6 @@ impl Default for TrainConfig {
             schedule: Schedule::default(),
             seed: 0x5eed,
             fit_bias: true,
-            kernel: FitKernel::RowSgd,
         }
     }
 }
@@ -93,20 +67,12 @@ impl TrainConfig {
                 value: f64::NAN,
             });
         }
-        if let FitKernel::Minibatch { batch } = self.kernel {
-            if batch == 0 {
-                return Err(MlError::BadHyperparameter {
-                    what: "batch",
-                    value: 0.0,
-                });
-            }
-        }
         Ok(())
     }
 }
 
-/// The linear state `(w, b)` of a fitted linear model — the unit of
-/// warm-start transfer between neighbouring sweep cells.
+/// The linear state `(w, b)` of a fitted linear model: what
+/// [`crate::batch::batched_accuracy`] scores on held-out data.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinearState {
     /// Weight vector.
@@ -132,24 +98,6 @@ pub trait Classifier {
     /// [`MlError::SingleClass`], [`MlError::BadHyperparameter`] or
     /// [`MlError::Diverged`] as applicable.
     fn fit(&mut self, data: &dyn DataView) -> Result<(), MlError>;
-
-    /// Fit continuing from `init` instead of the cold-start origin —
-    /// the warm-start hook monotone sweeps use to seed a cell from its
-    /// neighbour's solution. The result is *not* required to equal a
-    /// cold [`Classifier::fit`]; callers opt in explicitly.
-    ///
-    /// The default implementation ignores `init` and fits cold, so
-    /// models without a meaningful linear state stay correct.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Classifier::fit`], plus
-    /// [`MlError::DimensionMismatch`] when `init`'s width differs from
-    /// the data's.
-    fn fit_from(&mut self, data: &dyn DataView, init: &LinearState) -> Result<(), MlError> {
-        let _ = init;
-        self.fit(data)
-    }
 
     /// The fitted linear state, if this model exposes one (`None` for
     /// unfitted or non-linear models).
@@ -221,28 +169,6 @@ pub fn check_trainable(data: &dyn DataView) -> Result<(), MlError> {
     Ok(())
 }
 
-/// Validate a warm-start state against the data it will train on.
-///
-/// # Errors
-///
-/// Returns [`MlError::DimensionMismatch`] when widths differ and
-/// [`MlError::BadHyperparameter`] for non-finite state.
-pub fn check_warm_start(init: &LinearState, dim: usize) -> Result<(), MlError> {
-    if init.weights.len() != dim {
-        return Err(MlError::DimensionMismatch {
-            expected: dim,
-            found: init.weights.len(),
-        });
-    }
-    if !init.bias.is_finite() || init.weights.iter().any(|w| !w.is_finite()) {
-        return Err(MlError::BadHyperparameter {
-            what: "warm_start",
-            value: f64::NAN,
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,16 +198,6 @@ mod tests {
             ..TrainConfig::default()
         };
         assert!(c.validate().is_err());
-        let c = TrainConfig {
-            kernel: FitKernel::Minibatch { batch: 0 },
-            ..TrainConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = TrainConfig {
-            kernel: FitKernel::Minibatch { batch: 32 },
-            ..TrainConfig::default()
-        };
-        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -302,31 +218,5 @@ mod tests {
         )
         .unwrap();
         assert!(check_trainable(&both).is_ok());
-    }
-
-    #[test]
-    fn warm_start_state_is_validated() {
-        let good = LinearState {
-            weights: vec![0.5, -0.5],
-            bias: 0.1,
-        };
-        assert!(check_warm_start(&good, 2).is_ok());
-        assert!(matches!(
-            check_warm_start(&good, 3).unwrap_err(),
-            MlError::DimensionMismatch {
-                expected: 3,
-                found: 2
-            }
-        ));
-        let bad = LinearState {
-            weights: vec![f64::NAN, 0.0],
-            bias: 0.0,
-        };
-        assert!(check_warm_start(&bad, 2).is_err());
-        let bad_bias = LinearState {
-            weights: vec![0.0, 0.0],
-            bias: f64::INFINITY,
-        };
-        assert!(check_warm_start(&bad_bias, 2).is_err());
     }
 }

@@ -1,10 +1,7 @@
 //! Averaged perceptron — the simplest linear baseline.
 
 use crate::error::MlError;
-use crate::kernel::BatchScratch;
-use crate::model::{
-    check_trainable, check_warm_start, Classifier, FitKernel, LinearState, TrainConfig,
-};
+use crate::model::{check_trainable, Classifier, LinearState, TrainConfig};
 use poisongame_data::DataView;
 use poisongame_linalg::rng::{shuffled_indices, Xoshiro256StarStar};
 use poisongame_linalg::vector;
@@ -64,21 +61,13 @@ impl Default for AveragedPerceptron {
     }
 }
 
-impl AveragedPerceptron {
-    /// The shared training loop: cold starts pass `init = None` (the
-    /// historical path, bit for bit); warm starts seed the *active*
-    /// weights from the neighbouring cell's averaged solution (the
-    /// averaging accumulators always restart).
-    fn fit_impl(&mut self, data: &dyn DataView, init: Option<&LinearState>) -> Result<(), MlError> {
+impl Classifier for AveragedPerceptron {
+    fn fit(&mut self, data: &dyn DataView) -> Result<(), MlError> {
+        // Not the SGD learners' shared loop: every row also advances
+        // the running average, mistake or not.
         if self.config.epochs == 0 {
             return Err(MlError::BadHyperparameter {
                 what: "epochs",
-                value: 0.0,
-            });
-        }
-        if let FitKernel::Minibatch { batch: 0 } = self.config.kernel {
-            return Err(MlError::BadHyperparameter {
-                what: "batch",
                 value: 0.0,
             });
         }
@@ -86,68 +75,25 @@ impl AveragedPerceptron {
 
         let dim = data.dim();
         let n = data.len();
-        let (mut w, mut b) = match init {
-            Some(state) => {
-                check_warm_start(state, dim)?;
-                (state.weights.clone(), state.bias)
-            }
-            None => (vec![0.0; dim], 0.0),
-        };
+        let mut w = vec![0.0; dim];
+        let mut b = 0.0;
         // Accumulators for the average.
         let mut w_sum = vec![0.0; dim];
         let mut b_sum = 0.0;
         let mut rng = Xoshiro256StarStar::seed_from_u64(self.config.seed);
-        let mut scratch = match self.config.kernel {
-            FitKernel::Minibatch { batch } => Some((batch, BatchScratch::new(dim, batch.min(n)))),
-            FitKernel::RowSgd => None,
-        };
 
         for _ in 0..self.config.epochs {
-            let order = shuffled_indices(n, &mut rng);
-            match scratch.as_mut() {
-                None => {
-                    for &i in &order {
-                        let x = data.point(i);
-                        let y = data.label(i).to_signed();
-                        if y * (vector::dot(&w, x) + b) <= 0.0 {
-                            vector::axpy(y, x, &mut w);
-                            if self.config.fit_bias {
-                                b += y;
-                            }
-                        }
-                        vector::axpy(1.0, &w, &mut w_sum);
-                        b_sum += b;
+            for i in shuffled_indices(n, &mut rng) {
+                let x = data.point(i);
+                let y = data.label(i).to_signed();
+                if y * (vector::dot(&w, x) + b) <= 0.0 {
+                    vector::axpy(y, x, &mut w);
+                    if self.config.fit_bias {
+                        b += y;
                     }
                 }
-                Some((batch, scratch)) => {
-                    // Batch variant: every mistake in the batch is
-                    // judged against the *same* incoming weights, and
-                    // the running average advances once per batch
-                    // (weighted by the batch length) instead of once
-                    // per row — a documented approximation of the
-                    // row-at-a-time Freund–Schapire average.
-                    for chunk in order.chunks(*batch) {
-                        scratch.gather(data, chunk);
-                        scratch.compute_margins(&w, b);
-                        scratch.picked.clear();
-                        scratch.coeffs.clear();
-                        let mut bias_step = 0.0;
-                        for j in 0..chunk.len() {
-                            if scratch.margins[j] <= 0.0 {
-                                let y = scratch.labels[j];
-                                scratch.picked.push(j);
-                                scratch.coeffs.push(y);
-                                bias_step += y;
-                            }
-                        }
-                        scratch.apply(1.0, &mut w);
-                        if self.config.fit_bias {
-                            b += bias_step;
-                        }
-                        vector::axpy(chunk.len() as f64, &w, &mut w_sum);
-                        b_sum += chunk.len() as f64 * b;
-                    }
-                }
+                vector::axpy(1.0, &w, &mut w_sum);
+                b_sum += b;
             }
         }
 
@@ -160,16 +106,6 @@ impl AveragedPerceptron {
             0.0
         };
         Ok(())
-    }
-}
-
-impl Classifier for AveragedPerceptron {
-    fn fit(&mut self, data: &dyn DataView) -> Result<(), MlError> {
-        self.fit_impl(data, None)
-    }
-
-    fn fit_from(&mut self, data: &dyn DataView, init: &LinearState) -> Result<(), MlError> {
-        self.fit_impl(data, Some(init))
     }
 
     fn linear_state(&self) -> Option<LinearState> {
@@ -250,33 +186,5 @@ mod tests {
         a.fit(&data).unwrap();
         b.fit(&data).unwrap();
         assert_eq!(a.weights(), b.weights());
-    }
-
-    #[test]
-    fn minibatch_kernel_learns_like_row_sgd() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(35);
-        let data = gaussian_blobs(80, 3, 3.5, 0.5, &mut rng);
-        let cfg = TrainConfig {
-            epochs: 25,
-            ..TrainConfig::default()
-        };
-        let mut row = AveragedPerceptron::new(cfg.clone());
-        row.fit(&data).unwrap();
-        let mut mb = AveragedPerceptron::new(TrainConfig {
-            kernel: FitKernel::Minibatch { batch: 16 },
-            ..cfg
-        });
-        mb.fit(&data).unwrap();
-        let (ra, ma) = (row.accuracy_on(&data), mb.accuracy_on(&data));
-        assert!((ra - ma).abs() <= 0.05, "row {ra} vs minibatch {ma}");
-        assert!(matches!(
-            AveragedPerceptron::new(TrainConfig {
-                kernel: FitKernel::Minibatch { batch: 0 },
-                ..TrainConfig::default()
-            })
-            .fit(&data)
-            .unwrap_err(),
-            MlError::BadHyperparameter { what: "batch", .. }
-        ));
     }
 }

@@ -5,19 +5,16 @@
 //! trained it for 5000 epoch"). The optimizer is plain stochastic
 //! subgradient descent on
 //! `λ/2·‖w‖² + (1/n)·Σ max(0, 1 − y(w·x+b))`
-//! with a configurable learning-rate schedule (Pegasos by default) and
+//! with a configurable learning-rate schedule (inverse scaling
+//! `0.5 / t^0.6` by default, see [`crate::schedule::Schedule`]) and
 //! deterministic per-epoch shuffling.
 
 use crate::error::MlError;
-use crate::kernel::BatchScratch;
 use crate::loss;
-use crate::model::{
-    check_trainable, check_warm_start, Classifier, FitKernel, LinearState, TrainConfig,
-};
+use crate::model::{Classifier, LinearState, TrainConfig};
+use crate::sgd;
 use poisongame_data::{DataView, Dataset};
-use poisongame_linalg::rng::{shuffled_indices, Xoshiro256StarStar};
 use poisongame_linalg::vector;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Linear SVM with hinge loss and L2 regularization.
@@ -77,101 +74,23 @@ impl LinearSvm {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::NotFitted`] before fitting.
+    /// Returns [`MlError::NotFitted`] before fitting and
+    /// [`MlError::DimensionMismatch`] when the dataset's width differs
+    /// from the fitted weights'.
     pub fn objective(&self, data: &Dataset) -> Result<f64, MlError> {
         let w = self.weights.as_ref().ok_or(MlError::NotFitted)?;
+        if data.dim() != w.len() {
+            return Err(MlError::DimensionMismatch {
+                expected: w.len(),
+                found: data.dim(),
+            });
+        }
         let margins = data
             .iter()
             .map(|(x, y)| y.to_signed() * (vector::dot(w, x) + self.bias));
         let loss = loss::mean_loss(margins, loss::hinge);
         let reg = 0.5 * self.config.lambda * vector::dot(w, w);
         Ok(reg + loss)
-    }
-
-    /// The shared SGD loop: cold starts pass `init = None` (weights at
-    /// the origin — the historical path, bit for bit), warm starts the
-    /// neighbouring cell's state.
-    fn fit_impl(&mut self, data: &dyn DataView, init: Option<&LinearState>) -> Result<(), MlError> {
-        self.config.validate()?;
-        check_trainable(data)?;
-
-        let dim = data.dim();
-        let n = data.len();
-        let (mut w, mut b) = match init {
-            Some(state) => {
-                check_warm_start(state, dim)?;
-                (state.weights.clone(), state.bias)
-            }
-            None => (vec![0.0; dim], 0.0),
-        };
-        let mut rng = Xoshiro256StarStar::seed_from_u64(self.config.seed);
-        let mut t: u64 = 0;
-        let mut scratch = match self.config.kernel {
-            FitKernel::Minibatch { batch } => Some((batch, BatchScratch::new(dim, batch.min(n)))),
-            FitKernel::RowSgd => None,
-        };
-
-        for epoch in 0..self.config.epochs {
-            let order = shuffled_indices(n, &mut rng);
-            match scratch.as_mut() {
-                None => {
-                    for &i in &order {
-                        t += 1;
-                        let eta = self.config.schedule.rate(t);
-                        let x = data.point(i);
-                        let y = data.label(i).to_signed();
-                        let margin = y * (vector::dot(&w, x) + b);
-                        // L2 shrinkage applies on every step; the hinge
-                        // subgradient only inside the margin.
-                        let shrink = 1.0 - eta * self.config.lambda;
-                        if shrink > 0.0 {
-                            vector::scale(shrink, &mut w);
-                        }
-                        if margin < 1.0 {
-                            vector::axpy(eta * y, x, &mut w);
-                            if self.config.fit_bias {
-                                b += eta * y;
-                            }
-                        }
-                    }
-                }
-                Some((batch, scratch)) => {
-                    // One schedule step per batch: margins for the whole
-                    // batch in one fused pass, then the *averaged* hinge
-                    // subgradient of the violators in one fused update.
-                    for chunk in order.chunks(*batch) {
-                        t += 1;
-                        let eta = self.config.schedule.rate(t);
-                        scratch.gather(data, chunk);
-                        scratch.compute_margins(&w, b);
-                        let blen = chunk.len() as f64;
-                        scratch.picked.clear();
-                        scratch.coeffs.clear();
-                        let mut bias_step = 0.0;
-                        for j in 0..chunk.len() {
-                            if scratch.margins[j] < 1.0 {
-                                let y = scratch.labels[j];
-                                scratch.picked.push(j);
-                                scratch.coeffs.push(eta * y / blen);
-                                bias_step += y;
-                            }
-                        }
-                        let shrink = 1.0 - eta * self.config.lambda;
-                        scratch.apply(if shrink > 0.0 { shrink } else { 1.0 }, &mut w);
-                        if self.config.fit_bias {
-                            b += eta * bias_step / blen;
-                        }
-                    }
-                }
-            }
-            if !vector::all_finite(&w) || !b.is_finite() {
-                return Err(MlError::Diverged { epoch });
-            }
-        }
-
-        self.weights = Some(w);
-        self.bias = if self.config.fit_bias { b } else { 0.0 };
-        Ok(())
     }
 }
 
@@ -183,11 +102,13 @@ impl Default for LinearSvm {
 
 impl Classifier for LinearSvm {
     fn fit(&mut self, data: &dyn DataView) -> Result<(), MlError> {
-        self.fit_impl(data, None)
-    }
-
-    fn fit_from(&mut self, data: &dyn DataView, init: &LinearState) -> Result<(), MlError> {
-        self.fit_impl(data, Some(init))
+        // The hinge subgradient only acts inside the margin.
+        let (w, b) = sgd::fit(&self.config, data, |margin, y, eta| {
+            (margin < 1.0).then_some(eta * y)
+        })?;
+        self.weights = Some(w);
+        self.bias = b;
+        Ok(())
     }
 
     fn linear_state(&self) -> Option<LinearState> {
@@ -215,6 +136,8 @@ mod tests {
     use crate::schedule::Schedule;
     use poisongame_data::synth::gaussian_blobs;
     use poisongame_data::Label;
+    use poisongame_linalg::Xoshiro256StarStar;
+    use rand::SeedableRng;
 
     fn blobs(seed: u64) -> Dataset {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
@@ -327,6 +250,21 @@ mod tests {
     }
 
     #[test]
+    fn objective_rejects_width_mismatch() {
+        let data = blobs(14);
+        let mut svm = LinearSvm::new(quick_config());
+        svm.fit(&data).unwrap();
+        let narrow = Dataset::from_rows(vec![vec![1.0, 2.0]], vec![Label::Positive]).unwrap();
+        assert!(matches!(
+            svm.objective(&narrow).unwrap_err(),
+            MlError::DimensionMismatch {
+                expected: 4,
+                found: 2
+            }
+        ));
+    }
+
+    #[test]
     fn decision_sign_matches_prediction() {
         let data = blobs(6);
         let mut svm = LinearSvm::new(quick_config());
@@ -359,113 +297,6 @@ mod tests {
         });
         svm.fit(&data).unwrap();
         assert_eq!(svm.bias(), 0.0);
-    }
-
-    #[test]
-    fn fit_from_origin_state_matches_cold_fit_bitwise() {
-        // Warm-starting from the cold-start origin must be the *same*
-        // computation — this pins the fit/fit_impl refactor.
-        let data = blobs(11);
-        let mut cold = LinearSvm::new(quick_config());
-        let mut warm = LinearSvm::new(quick_config());
-        cold.fit(&data).unwrap();
-        let origin = LinearState {
-            weights: vec![0.0; data.dim()],
-            bias: 0.0,
-        };
-        warm.fit_from(&data, &origin).unwrap();
-        let cold_bits: Vec<u64> = cold
-            .weights()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let warm_bits: Vec<u64> = warm
-            .weights()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(cold_bits, warm_bits);
-        assert_eq!(cold.bias().to_bits(), warm.bias().to_bits());
-    }
-
-    #[test]
-    fn warm_start_chains_and_stays_accurate() {
-        let data = blobs(12);
-        let mut first = LinearSvm::new(quick_config());
-        first.fit(&data).unwrap();
-        let state = first.linear_state().unwrap();
-        assert_eq!(state.weights.len(), data.dim());
-        // A short continuation from the fitted state keeps quality.
-        let mut second = LinearSvm::new(TrainConfig {
-            epochs: 3,
-            ..quick_config()
-        });
-        second.fit_from(&data, &state).unwrap();
-        assert!(second.accuracy_on(&data) > 0.95);
-    }
-
-    #[test]
-    fn warm_start_validates_state() {
-        let data = blobs(13);
-        let mut svm = LinearSvm::new(quick_config());
-        let skinny = LinearState {
-            weights: vec![1.0],
-            bias: 0.0,
-        };
-        assert!(matches!(
-            svm.fit_from(&data, &skinny).unwrap_err(),
-            MlError::DimensionMismatch { .. }
-        ));
-        assert!(svm.linear_state().is_none(), "failed fit must not fit");
-    }
-
-    #[test]
-    fn minibatch_kernel_learns_like_row_sgd() {
-        let data = blobs(14);
-        let mut row = LinearSvm::new(quick_config());
-        row.fit(&data).unwrap();
-        for batch in [1, 8, 32, 1000] {
-            let mut mb = LinearSvm::new(TrainConfig {
-                kernel: FitKernel::Minibatch { batch },
-                ..quick_config()
-            });
-            mb.fit(&data).unwrap();
-            let (ra, ma) = (row.accuracy_on(&data), mb.accuracy_on(&data));
-            assert!(
-                (ra - ma).abs() <= 0.03,
-                "batch {batch}: row {ra} vs minibatch {ma}"
-            );
-        }
-    }
-
-    #[test]
-    fn minibatch_kernel_is_deterministic() {
-        let data = blobs(15);
-        let config = TrainConfig {
-            kernel: FitKernel::Minibatch { batch: 16 },
-            ..quick_config()
-        };
-        let mut a = LinearSvm::new(config.clone());
-        let mut b = LinearSvm::new(config);
-        a.fit(&data).unwrap();
-        b.fit(&data).unwrap();
-        assert_eq!(a.weights(), b.weights());
-        assert_eq!(a.bias(), b.bias());
-    }
-
-    #[test]
-    fn minibatch_rejects_zero_batch() {
-        let data = blobs(16);
-        let mut svm = LinearSvm::new(TrainConfig {
-            kernel: FitKernel::Minibatch { batch: 0 },
-            ..quick_config()
-        });
-        assert!(matches!(
-            svm.fit(&data).unwrap_err(),
-            MlError::BadHyperparameter { what: "batch", .. }
-        ));
     }
 
     #[test]

@@ -363,25 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_payoff_picks_up_minibatch_kernel_from_config() {
-        // `fit_kernel` flows config → train_config → every cell fit
-        // with no payoff-side wiring. The empirical entries stay a
-        // deterministic pure function of (config, grids), and the
-        // minibatch grid must still show the attack hurting at (0, 0).
-        let engine = EvalEngine::new();
-        let config = ExperimentConfig {
-            fit_kernel: poisongame_sim::FitKernel::Minibatch { batch: 32 },
-            ..quick_config()
-        };
-        let mut payoff = EnginePayoff::new(&engine, &config, &[0.02, 0.2], &[0.0, 0.2]).unwrap();
-        let game = payoff.matrix().unwrap();
-        assert!(game.payoff(0, 0) > 0.0, "boundary poison did no damage");
-        let engine2 = EvalEngine::new();
-        let mut again = EnginePayoff::new(&engine2, &config, &[0.02, 0.2], &[0.0, 0.2]).unwrap();
-        assert_eq!(again.matrix().unwrap(), game, "minibatch is deterministic");
-    }
-
-    #[test]
     fn engine_payoff_rejects_bad_grids() {
         let engine = EvalEngine::new();
         let config = quick_config();

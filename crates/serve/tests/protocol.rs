@@ -300,6 +300,44 @@ fn zero_deadline_and_bad_seed_overrides_are_rejected_live() {
 }
 
 #[test]
+fn cell_config_with_fit_kernel_is_rejected_and_connection_survives() {
+    let (addr, handle) = spawn(ServerConfig::default());
+
+    // Training has one kernel; a config still selecting one is a
+    // structured bad_request naming the key, not a silently ignored
+    // field.
+    let config = quick_config().to_json().render();
+    let stale = format!(
+        "{{\"id\": 31, \"type\": \"cell\", \"config\": {{\"fit_kernel\": \"row_sgd\", {}}}\n",
+        &config[1..]
+    );
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(stale.as_bytes()).expect("write");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    let response = parse_response_line(line.trim_end()).expect("structured response");
+    assert_eq!(response.id, Some(31));
+    let message = expect_error(&response, ErrorCode::BadRequest);
+    assert!(message.contains("fit_kernel"), "{message}");
+
+    // The next request on the same connection is served.
+    let next = format!("{{\"id\": 32, \"type\": \"cell\", \"config\": {config}}}\n");
+    stream.write_all(next.as_bytes()).expect("write");
+    line.clear();
+    reader.read_line(&mut line).expect("read");
+    let response = parse_response_line(line.trim_end()).expect("cell response");
+    assert_eq!(response.id, Some(32));
+    assert!(
+        matches!(response.body, ResponseBody::Ok(_)),
+        "{:?}",
+        response.body
+    );
+
+    shutdown_server(addr, handle);
+}
+
+#[test]
 fn wire_seed_override_changes_exactly_the_seed() {
     let (addr, handle) = spawn(ServerConfig::default());
 

@@ -25,12 +25,6 @@
 //! engine results are bit-identical to the cold golden path (pinned by
 //! `tests/determinism.rs` and `tests/scenario_compat.rs`).
 //!
-//! Warm-started sweeps ([`EvalEngine::warm_start_sweep`]) are the one
-//! opt-in that trades bit-compatibility for speed: monotone sweeps
-//! continue training from the neighbouring cell's weights
-//! ([`poisongame_ml::Classifier::fit_from`]). Off by default, never on
-//! a golden path.
-//!
 //! # Example
 //!
 //! ```no_run
@@ -50,11 +44,11 @@
 use crate::error::SimError;
 use crate::estimate::{estimate_curves_prepared, CurveEstimate};
 use crate::exec::ExecPolicy;
-use crate::fig1::{run_fig1_prepared, run_fig1_warm, Fig1Config, Fig1Results};
+use crate::fig1::{run_fig1_prepared, Fig1Config, Fig1Results};
 use crate::monte_carlo::{simulate_repeated_game_parallel, MonteCarloResults};
 use crate::pipeline::{prepare_data, DataSource, ExperimentConfig, Prepared, PreparedData};
 use crate::scaling::{run_scaling_with, ScalingResults};
-use crate::scenario::{run_matrix_prepared_opts, EngineStats, MatrixResults, ScenarioMatrix};
+use crate::scenario::{run_matrix_prepared, EngineStats, MatrixResults, ScenarioMatrix};
 use crate::table1::{run_table1_prepared, Table1Results};
 use poisongame_core::{Algorithm1Config, DefenderMixedStrategy, PoisonGame};
 use poisongame_data::{CacheStats, ContentHash, PrepCache};
@@ -99,7 +93,7 @@ impl PrepKey {
             // `chunk_rows` / `max_inflight_chunks` are execution
             // knobs, not content: chunked and whole-file preparation
             // are bit-identical (pinned by `tests/ingest.rs`), so they
-            // share a key — the same precedent as `fused_eval`.
+            // share a key.
             //
             // Caveat: with `checksum: None` the key sees only
             // (path, format) — the cache cannot observe the file's
@@ -222,13 +216,11 @@ pub fn config_prep_key(config: &ExperimentConfig) -> PrepKey {
 pub struct EvalEngine {
     policy: ExecPolicy,
     store: PrepCache<PrepKey, PreparedData>,
-    warm_start_sweep: bool,
-    fused_eval: bool,
 }
 
 impl EvalEngine {
-    /// Engine on the default (fully parallel) execution policy, cold
-    /// store, warm-start off.
+    /// Engine on the default (fully parallel) execution policy and a
+    /// cold store.
     pub fn new() -> Self {
         Self::default()
     }
@@ -258,44 +250,9 @@ impl EvalEngine {
         self.store.capacity()
     }
 
-    /// Opt in (or out) of warm-started monotone sweeps: cells of
-    /// [`EvalEngine::run_fig1`] and the per-row strength axis of
-    /// [`EvalEngine::run_table1`] continue training from the
-    /// neighbouring cell's fitted weights. **Changes results** — the
-    /// golden reproduction paths keep this off.
-    pub fn warm_start_sweep(mut self, on: bool) -> Self {
-        self.warm_start_sweep = on;
-        self
-    }
-
     /// The engine's execution policy.
     pub fn policy(&self) -> &ExecPolicy {
         &self.policy
-    }
-
-    /// Whether warm-started sweeps are on.
-    pub fn warm_start_enabled(&self) -> bool {
-        self.warm_start_sweep
-    }
-
-    /// Opt in (or out) of fused cross-cell evaluation: matrix cells
-    /// only filter + train in the worker pool, and every cell's
-    /// [`poisongame_ml::LinearState`] is then evaluated against the
-    /// shared held-out features in one blocked multi-RHS GEMM (see
-    /// [`crate::scenario::run_matrix_prepared_opts`]). Results are
-    /// **bit-identical** to the per-cell path — the knob only
-    /// reschedules the evaluation flops — so unlike
-    /// [`EvalEngine::warm_start_sweep`] this is safe on golden paths;
-    /// it is still off by default to keep the default engine's
-    /// execution shape the historical one.
-    pub fn fused_eval(mut self, on: bool) -> Self {
-        self.fused_eval = on;
-        self
-    }
-
-    /// Whether fused cross-cell evaluation is on.
-    pub fn fused_eval_enabled(&self) -> bool {
-        self.fused_eval
     }
 
     /// Preparation-store hit/miss counters.
@@ -383,8 +340,7 @@ impl EvalEngine {
         let before = self.store.stats();
         let start = Instant::now();
         let prepared = self.prepare(config)?;
-        let mut results =
-            run_matrix_prepared_opts(&prepared, config, matrix, &self.policy, self.fused_eval)?;
+        let mut results = run_matrix_prepared(&prepared, config, matrix, &self.policy)?;
         let after = self.store.stats();
         results.engine = Some(EngineStats {
             prep_hits: after.hits - before.hits,
@@ -395,10 +351,8 @@ impl EvalEngine {
         Ok(results)
     }
 
-    /// Run the Figure 1 sweep with cached preparation. With
-    /// [`EvalEngine::warm_start_sweep`] on, cells run sequentially and
-    /// chain training along the strength axis; off (default), results
-    /// are bit-identical to [`crate::fig1::run_fig1`].
+    /// Run the Figure 1 sweep with cached preparation. Results are
+    /// bit-identical to [`crate::fig1::run_fig1`].
     ///
     /// # Errors
     ///
@@ -409,16 +363,10 @@ impl EvalEngine {
         sweep: &Fig1Config,
     ) -> Result<Fig1Results, SimError> {
         let prepared = self.prepare(config)?;
-        if self.warm_start_sweep {
-            run_fig1_warm(&prepared, config, sweep)
-        } else {
-            run_fig1_prepared(&prepared, config, sweep, &self.policy)
-        }
+        run_fig1_prepared(&prepared, config, sweep, &self.policy)
     }
 
-    /// Run Table 1 with cached preparation (and, under
-    /// [`EvalEngine::warm_start_sweep`], warm-chained empirical
-    /// evaluation along each row's strength axis).
+    /// Run Table 1 with cached preparation.
     ///
     /// # Errors
     ///
@@ -438,7 +386,6 @@ impl EvalEngine {
             support_sizes,
             best_pure_accuracy,
             &self.policy,
-            self.warm_start_sweep,
         )
     }
 
@@ -629,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_fig1_cold_is_bit_identical_warm_is_not_golden() {
+    fn engine_fig1_is_bit_identical_to_cold_path() {
         let config = quick_config(9);
         let sweep = Fig1Config {
             strengths: vec![0.0, 0.1, 0.2],
@@ -639,50 +586,6 @@ mod tests {
         let engine = EvalEngine::new();
         let cached = engine.run_fig1(&config, &sweep).unwrap();
         assert_eq!(cold, cached, "cache must not change results");
-
-        let warm_engine = EvalEngine::new().warm_start_sweep(true);
-        assert!(warm_engine.warm_start_enabled());
-        let warm = warm_engine.run_fig1(&config, &sweep).unwrap();
-        // The warm sweep is a *different* (approximate) computation:
-        // same shape, valid accuracies, same grid.
-        assert_eq!(warm.rows.len(), cold.rows.len());
-        assert_eq!(warm.n_poison, cold.n_poison);
-        for (w, c) in warm.rows.iter().zip(&cold.rows) {
-            assert_eq!(w.removed_fraction, c.removed_fraction);
-            assert!((0.0..=1.0).contains(&w.accuracy_under_attack));
-            assert!((0.0..=1.0).contains(&w.accuracy_clean));
-        }
-        // And the θ=0 cell (first in the chain, no neighbour yet) is
-        // the cold computation exactly.
-        assert_eq!(
-            warm.rows[0].accuracy_under_attack.to_bits(),
-            cold.rows[0].accuracy_under_attack.to_bits()
-        );
-    }
-
-    #[test]
-    fn fused_engine_matrix_is_byte_identical_to_default() {
-        let config = quick_config(13);
-        let matrix = ScenarioMatrix {
-            attacks: vec![
-                crate::scenario::AttackSpec::Boundary,
-                crate::scenario::AttackSpec::LabelFlip,
-            ],
-            ..ScenarioMatrix::default()
-        };
-        let plain = EvalEngine::new().run_matrix(&config, &matrix).unwrap();
-        let fused_engine = EvalEngine::new().fused_eval(true);
-        assert!(fused_engine.fused_eval_enabled());
-        let fused = fused_engine.run_matrix(&config, &matrix).unwrap();
-        assert_eq!(plain, fused);
-        for (a, b) in plain.cells.iter().zip(&fused.cells) {
-            assert_eq!(
-                a.outcome.accuracy.to_bits(),
-                b.outcome.accuracy.to_bits(),
-                "fused eval must be bit-identical"
-            );
-        }
-        assert!(!EvalEngine::new().fused_eval_enabled());
     }
 
     #[test]

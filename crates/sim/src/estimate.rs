@@ -257,7 +257,6 @@ mod tests {
     use crate::scenario::Scenario;
     use poisongame_core::SolverKind;
     use poisongame_defense::CentroidEstimator;
-    use poisongame_ml::FitKernel;
 
     fn quick_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -269,7 +268,6 @@ mod tests {
             centroid: CentroidEstimator::CoordinateMedian,
             solver: SolverKind::Auto,
             warm_start: false,
-            fit_kernel: FitKernel::RowSgd,
             scenario: Scenario::default(),
         }
     }

@@ -9,16 +9,13 @@
 use crate::error::SimError;
 use crate::exec::{try_parallel_map, ExecPolicy};
 use crate::pipeline::{
-    attack_filter_train_eval, filter_train_eval, filter_train_warm, hugging_placement, prepare,
-    run_cell_trained, ExperimentConfig, Prepared,
+    attack_filter_train_eval, filter_train_eval, hugging_placement, prepare, ExperimentConfig,
+    Prepared,
 };
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
-use poisongame_ml::batch::batched_accuracy;
-use poisongame_ml::LinearState;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Sweep configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -197,108 +194,6 @@ pub fn run_fig1_prepared(
     })
 }
 
-/// The warm-started Figure 1 sweep: cells run *sequentially* in sweep
-/// order and each cell's training continues from the neighbouring
-/// cell's fitted weights ([`poisongame_ml::Classifier::fit_from`]).
-/// An explicit opt-in (see
-/// [`crate::engine::EvalEngine::warm_start_sweep`]): results
-/// approximate, but do not bit-match, the cold sweep — golden paths
-/// never route through here.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] for an empty or out-of-range
-/// strength grid and propagates pipeline failures.
-pub fn run_fig1_warm(
-    prepared: &Prepared,
-    config: &ExperimentConfig,
-    sweep: &Fig1Config,
-) -> Result<Fig1Results, SimError> {
-    validate_strengths(&sweep.strengths)?;
-    let baseline = filter_train_eval(
-        prepared.train(),
-        &[],
-        prepared.test(),
-        FilterStrength::RemoveFraction(0.0),
-        config,
-    )?;
-
-    // Two chains: the attacked and clean series each continue from
-    // their own neighbour (mixing them would seed the clean model with
-    // poison-influenced weights). The chain only needs each cell's
-    // *state* to seed the next fit, so held-out evaluation is deferred
-    // and the whole sweep evaluates in one blocked multi-RHS pass.
-    let mut trained = Vec::with_capacity(sweep.strengths.len());
-    let mut warm_attacked: Option<LinearState> = None;
-    let mut warm_clean: Option<LinearState> = None;
-    for &theta in &sweep.strengths {
-        let mut rng = point_rng(config, theta);
-        let placement = hugging_placement(prepared, theta, sweep.placement_slack);
-        let attacked = run_cell_trained(
-            prepared,
-            &config.scenario,
-            placement,
-            FilterStrength::RemoveFraction(theta),
-            config,
-            &mut rng,
-            warm_attacked.as_ref(),
-        )?;
-        let clean = filter_train_warm(
-            prepared.train(),
-            &[],
-            prepared.test(),
-            FilterStrength::RemoveFraction(theta),
-            &config.scenario,
-            config,
-            warm_clean.as_ref(),
-        )?;
-        warm_attacked = attacked.state.clone();
-        warm_clean = clean.state.clone();
-        trained.push((theta, attacked, clean));
-    }
-
-    // One batched evaluation over every chained state (attacked then
-    // clean per sweep point) — bit-identical to per-cell evaluation.
-    let states: Vec<LinearState> = trained
-        .iter()
-        .flat_map(|(_, a, c)| [a.state.clone(), c.state.clone()])
-        .flatten()
-        .collect();
-    let started = Instant::now();
-    let batched = batched_accuracy(
-        prepared.test().features(),
-        prepared.test().labels(),
-        &states,
-    )?;
-    crate::timing::record_eval(started.elapsed());
-    let mut accuracies = batched.into_iter();
-    let rows = trained
-        .into_iter()
-        .map(|(theta, attacked, clean)| {
-            let accuracy_under_attack = match attacked.fallback_accuracy {
-                Some(acc) => acc,
-                None => accuracies.next().expect("one accuracy per stated cell"),
-            };
-            let accuracy_clean = match clean.fallback_accuracy {
-                Some(acc) => acc,
-                None => accuracies.next().expect("one accuracy per stated cell"),
-            };
-            Fig1Row {
-                removed_fraction: theta,
-                accuracy_under_attack,
-                accuracy_clean,
-                poison_recall: attacked.accounting.poison_recall(),
-            }
-        })
-        .collect();
-
-    Ok(Fig1Results {
-        rows,
-        baseline_accuracy: baseline.accuracy,
-        n_poison: prepared.n_poison,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,7 +201,6 @@ mod tests {
     use crate::scenario::Scenario;
     use poisongame_core::SolverKind;
     use poisongame_defense::CentroidEstimator;
-    use poisongame_ml::FitKernel;
 
     fn quick_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -318,7 +212,6 @@ mod tests {
             centroid: CentroidEstimator::CoordinateMedian,
             solver: SolverKind::Auto,
             warm_start: false,
-            fit_kernel: FitKernel::RowSgd,
             scenario: Scenario::default(),
         }
     }

@@ -29,8 +29,8 @@
 //!   plus the two-phase `prepare_then_map` task graph.
 //! * [`engine`] — the shared-preparation evaluation engine: dataset
 //!   preparations keyed by content hash and shared (`Arc`) across
-//!   every experiment, copy-on-write poisoned views instead of
-//!   per-cell clones, and opt-in warm-started sweeps.
+//!   every experiment, and copy-on-write poisoned views instead of
+//!   per-cell clones.
 //! * [`jsonio`] — the minimal JSON reader/writer scenario specs
 //!   serialize through (the `serde` dependency is an offline shim).
 //! * [`report`] — ASCII tables and CSV output.
@@ -94,10 +94,6 @@ pub use engine::EvalEngine;
 pub use error::SimError;
 pub use exec::ExecPolicy;
 pub use pipeline::{DataSource, ExperimentConfig, Prepared, PreparedData};
-// Re-exported because `ExperimentConfig::fit_kernel` is part of the
-// config surface: downstream crates select kernels without a direct
-// `poisongame-ml` dependency.
-pub use poisongame_ml::FitKernel;
 pub use scenario::{
     AttackSpec, DefenseSpec, EngineStats, LearnerSpec, MatrixResults, Scenario, ScenarioBuilder,
     ScenarioMatrix,

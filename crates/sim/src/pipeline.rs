@@ -18,7 +18,7 @@ use poisongame_data::{DataView, Dataset, PoisonedView};
 use poisongame_defense::{CentroidEstimator, FilterAccounting, FilterStrength};
 use poisongame_linalg::Xoshiro256StarStar;
 use poisongame_ml::batch::batched_accuracy;
-use poisongame_ml::{FitKernel, LinearState, TrainConfig};
+use poisongame_ml::TrainConfig;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -110,16 +110,6 @@ pub struct ExperimentConfig {
     /// opted in.
     #[serde(default)]
     pub warm_start: bool,
-    /// Which training kernel every fit in this experiment uses.
-    /// Defaults to [`FitKernel::RowSgd`] — the historical
-    /// row-at-a-time loop, bit for bit — so configs that never mention
-    /// a kernel (including serialized ones with the field absent)
-    /// reproduce the paper's pipeline exactly. Opting into
-    /// [`FitKernel::Minibatch`] trades bit-identity for blocked-GEMM
-    /// throughput (tolerance-equivalent accuracy; see
-    /// `poisongame-ml`).
-    #[serde(default)]
-    pub fit_kernel: FitKernel,
     /// Which attack × defense × learner triple every cell of this
     /// experiment dispatches through. Defaults to the paper's triple
     /// (boundary attack, radius filter, linear SVM), so configs that
@@ -142,7 +132,6 @@ impl ExperimentConfig {
             centroid: CentroidEstimator::CoordinateMedian,
             solver: SolverKind::Auto,
             warm_start: false,
-            fit_kernel: FitKernel::RowSgd,
             scenario: Scenario::paper(),
         }
     }
@@ -164,7 +153,6 @@ impl ExperimentConfig {
         TrainConfig {
             epochs: self.epochs,
             seed: self.seed ^ 0x7261_696e, // "rain" — decorrelate from data seed
-            kernel: self.fit_kernel,
             ..TrainConfig::default()
         }
     }
@@ -211,7 +199,6 @@ impl ExperimentConfig {
             ("centroid", centroid_to_json(self.centroid)),
             ("solver", Json::str(solver_name(self.solver))),
             ("warm_start", Json::Bool(self.warm_start)),
-            ("fit_kernel", fit_kernel_to_json(self.fit_kernel)),
             ("scenario", self.scenario.to_json()),
         ])
     }
@@ -258,7 +245,6 @@ impl ExperimentConfig {
                 "centroid",
                 "solver",
                 "warm_start",
-                "fit_kernel",
                 "scenario",
             ],
         )?;
@@ -288,9 +274,6 @@ impl ExperimentConfig {
         }
         if let Some(v) = value.get("warm_start") {
             config.warm_start = jsonio::require_bool(v, "warm_start")?;
-        }
-        if let Some(v) = value.get("fit_kernel") {
-            config.fit_kernel = fit_kernel_from_json(v)?;
         }
         if let Some(v) = value.get("scenario") {
             config.scenario = Scenario::from_json(v)?;
@@ -526,42 +509,6 @@ fn solver_from_json(value: &Json) -> Result<SolverKind, SimError> {
     match value.as_str() {
         Some(name) => solver_from_name(name),
         None => Err(SimError::Spec("solver must be a string".into())),
-    }
-}
-
-fn fit_kernel_to_json(kernel: FitKernel) -> Json {
-    match kernel {
-        FitKernel::RowSgd => Json::str("row_sgd"),
-        FitKernel::Minibatch { batch } => Json::obj(vec![
-            ("type", Json::str("minibatch")),
-            ("batch", Json::Num(batch as f64)),
-        ]),
-    }
-}
-
-fn fit_kernel_from_json(value: &Json) -> Result<FitKernel, SimError> {
-    let kind = value
-        .as_str()
-        .or_else(|| value.get("type").and_then(Json::as_str))
-        .ok_or_else(|| SimError::Spec("fit_kernel must be a string or tagged object".into()))?;
-    let allowed: &[&str] = if kind == "minibatch" {
-        &["type", "batch"]
-    } else {
-        &["type"]
-    };
-    jsonio::check_keys(value, "fit_kernel", allowed)?;
-    match kind {
-        "row_sgd" => Ok(FitKernel::RowSgd),
-        "minibatch" => {
-            let batch = value.get("batch").and_then(Json::as_u64).ok_or_else(|| {
-                SimError::Spec("minibatch fit_kernel needs integer `batch`".into())
-            })? as usize;
-            if batch == 0 {
-                return Err(SimError::Spec("minibatch `batch` must be >= 1".into()));
-            }
-            Ok(FitKernel::Minibatch { batch })
-        }
-        other => Err(SimError::Spec(format!("unknown fit_kernel `{other}`"))),
     }
 }
 
@@ -851,7 +798,13 @@ pub fn filter_train_eval(
 }
 
 /// [`filter_train_eval`] against an explicit scenario (matrix cells
-/// carry their own triple, independent of `config.scenario`).
+/// carry their own triple, independent of `config.scenario`). This is
+/// the one place a cell is trained and scored: the learner is fitted
+/// cold on the filter's survivors, and its linear state is scored
+/// through [`batched_accuracy`], whose single-state product
+/// accumulates each margin in the same order as the per-point
+/// `accuracy_on` (bit-identical). A learner with no linear state falls
+/// back to `accuracy_on`.
 ///
 /// # Errors
 ///
@@ -864,151 +817,26 @@ pub fn filter_train_eval_scenario(
     scenario: &Scenario,
     config: &ExperimentConfig,
 ) -> Result<EvalOutcome, SimError> {
-    filter_train_eval_warm(
-        train,
-        poison_indices,
-        test,
-        strength,
-        scenario,
-        config,
-        None,
-    )
-    .map(|(outcome, _)| outcome)
-}
-
-/// The filter → train product of one experiment cell, *before*
-/// held-out evaluation — what the engine's fused cross-cell evaluator
-/// collects from each cell so it can stack every cell's
-/// [`LinearState`] into one blocked multi-RHS margin computation.
-///
-/// All fields are plain data (`Send`), unlike the boxed model they
-/// came from, so trained cells cross the worker-pool boundary.
-#[derive(Debug, Clone)]
-pub struct TrainedCell {
-    /// Ground-truth poison/genuine accounting of the filter.
-    pub accounting: FilterAccounting,
-    /// Fraction of the (poisoned) training set the filter removed.
-    pub removed_fraction: f64,
-    /// The fitted model's linear state, when it exposes one (every
-    /// bundled learner does).
-    pub state: Option<LinearState>,
-    /// Accuracy computed inline for learners with no linear state —
-    /// those cells cannot join the batched evaluation.
-    pub fallback_accuracy: Option<f64>,
-}
-
-impl TrainedCell {
-    /// Evaluate this cell on `test` and assemble its [`EvalOutcome`]
-    /// plus the state warm-start sweeps chain on. The single-state
-    /// batched kernel accumulates each margin in the same order as the
-    /// historical per-point `accuracy_on`, so the result is
-    /// bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches between the state and `test`.
-    pub fn into_outcome(
-        self,
-        test: &Dataset,
-    ) -> Result<(EvalOutcome, Option<LinearState>), SimError> {
-        let accuracy = match (self.fallback_accuracy, self.state.as_ref()) {
-            (Some(acc), _) => acc,
-            (None, Some(state)) => {
-                let started = Instant::now();
-                let acc =
-                    batched_accuracy(test.features(), test.labels(), std::slice::from_ref(state))?
-                        [0];
-                crate::timing::record_eval(started.elapsed());
-                acc
-            }
-            (None, None) => unreachable!("filter_train_warm sets fallback when state is absent"),
-        };
-        Ok((
-            EvalOutcome {
-                accuracy,
-                accounting: self.accounting,
-                removed_fraction: self.removed_fraction,
-            },
-            self.state,
-        ))
-    }
-}
-
-/// The single filter → train core every path funnels into, stopping
-/// short of held-out evaluation: callers either evaluate immediately
-/// ([`TrainedCell::into_outcome`], the per-cell path) or batch many
-/// cells' states into one blocked evaluation (the engine's fused
-/// path).
-///
-/// `warm` optionally seeds training from a neighbouring cell's
-/// [`LinearState`] (the engine's opt-in warm-start sweeps); `None` is
-/// the cold golden path, bit-identical to the historical pipeline.
-///
-/// # Errors
-///
-/// Propagates spec-building, filtering and training failures.
-pub fn filter_train_warm(
-    train: &dyn DataView,
-    poison_indices: &[usize],
-    test: &Dataset,
-    strength: FilterStrength,
-    scenario: &Scenario,
-    config: &ExperimentConfig,
-    warm: Option<&LinearState>,
-) -> Result<TrainedCell, SimError> {
     let filter = scenario.defense.build(strength, config.centroid)?;
-    let outcome = filter.split(train)?;
-    let kept = outcome.kept_dataset(train);
+    let split = filter.split(train)?;
+    let kept = split.kept_dataset(train);
     let mut model = scenario.learner.build(config.train_config());
     let fit_started = Instant::now();
-    match warm {
-        Some(state) => model.fit_from(&kept, state)?,
-        None => model.fit(&kept)?,
-    }
+    model.fit(&kept)?;
     crate::timing::record_fit(fit_started.elapsed());
-    let state = model.linear_state();
-    let fallback_accuracy = if state.is_none() {
-        let started = Instant::now();
-        let acc = model.accuracy_on(test);
-        crate::timing::record_eval(started.elapsed());
-        Some(acc)
-    } else {
-        None
+    let eval_started = Instant::now();
+    let accuracy = match model.linear_state() {
+        Some(state) => {
+            batched_accuracy(test.features(), test.labels(), std::slice::from_ref(&state))?[0]
+        }
+        None => model.accuracy_on(test),
     };
-    Ok(TrainedCell {
-        accounting: outcome.account(poison_indices),
-        removed_fraction: outcome.removed_fraction(train),
-        state,
-        fallback_accuracy,
+    crate::timing::record_eval(eval_started.elapsed());
+    Ok(EvalOutcome {
+        accuracy,
+        accounting: split.account(poison_indices),
+        removed_fraction: split.removed_fraction(train),
     })
-}
-
-/// [`filter_train_warm`] plus immediate per-cell evaluation — the
-/// historical signature, bit-identical to the pre-`TrainedCell`
-/// pipeline.
-///
-/// # Errors
-///
-/// Propagates spec-building, filtering and training failures.
-pub fn filter_train_eval_warm(
-    train: &dyn DataView,
-    poison_indices: &[usize],
-    test: &Dataset,
-    strength: FilterStrength,
-    scenario: &Scenario,
-    config: &ExperimentConfig,
-    warm: Option<&LinearState>,
-) -> Result<(EvalOutcome, Option<LinearState>), SimError> {
-    filter_train_warm(
-        train,
-        poison_indices,
-        test,
-        strength,
-        scenario,
-        config,
-        warm,
-    )?
-    .into_outcome(test)
 }
 
 /// The placement that "hugs" a strength-`theta` filter from inside,
@@ -1062,59 +890,17 @@ pub fn run_cell(
     config: &ExperimentConfig,
     rng: &mut Xoshiro256StarStar,
 ) -> Result<EvalOutcome, SimError> {
-    run_cell_warm(prepared, scenario, placement, strength, config, rng, None)
-        .map(|(outcome, _)| outcome)
-}
-
-/// [`run_cell`] returning the fitted model's [`LinearState`] and
-/// optionally seeding training from a neighbouring cell's state — the
-/// engine's warm-start hook (`warm = None` is the golden path, bit
-/// for bit).
-///
-/// # Errors
-///
-/// Propagates spec-building, attack, filtering and training failures.
-pub fn run_cell_warm(
-    prepared: &Prepared,
-    scenario: &Scenario,
-    placement: f64,
-    strength: FilterStrength,
-    config: &ExperimentConfig,
-    rng: &mut Xoshiro256StarStar,
-    warm: Option<&LinearState>,
-) -> Result<(EvalOutcome, Option<LinearState>), SimError> {
-    run_cell_trained(prepared, scenario, placement, strength, config, rng, warm)?
-        .into_outcome(prepared.test())
-}
-
-/// [`run_cell_warm`] stopping short of held-out evaluation — the
-/// engine's fused cross-cell path collects these and evaluates every
-/// cell's state in one blocked multi-RHS operation.
-///
-/// # Errors
-///
-/// Propagates spec-building, attack, filtering and training failures.
-pub fn run_cell_trained(
-    prepared: &Prepared,
-    scenario: &Scenario,
-    placement: f64,
-    strength: FilterStrength,
-    config: &ExperimentConfig,
-    rng: &mut Xoshiro256StarStar,
-    warm: Option<&LinearState>,
-) -> Result<TrainedCell, SimError> {
     let attack = scenario.attack.build(placement, prepared.n_poison)?;
     let poison = attack.generate(prepared.train(), prepared.n_poison, rng)?;
     let poisoned = PoisonedView::new(prepared.train(), poison)?;
     let injected: Vec<usize> = poisoned.appended_indices().collect();
-    filter_train_warm(
+    filter_train_eval_scenario(
         &poisoned,
         &injected,
         prepared.test(),
         strength,
         scenario,
         config,
-        warm,
     )
 }
 
@@ -1137,7 +923,6 @@ mod tests {
             centroid: CentroidEstimator::CoordinateMedian,
             solver: SolverKind::Auto,
             warm_start: false,
-            fit_kernel: FitKernel::RowSgd,
             scenario: Scenario::default(),
         }
     }
@@ -1154,7 +939,6 @@ mod tests {
             centroid: CentroidEstimator::CoordinateMedian,
             solver: SolverKind::Auto,
             warm_start: false,
-            fit_kernel: FitKernel::RowSgd,
             scenario: Scenario::default(),
         }
     }
@@ -1361,7 +1145,6 @@ mod tests {
             centroid: CentroidEstimator::Mean,
             solver: SolverKind::Auto,
             warm_start: false,
-            fit_kernel: FitKernel::RowSgd,
             scenario: Scenario::default(),
         };
         let p = prepare(&config).unwrap();

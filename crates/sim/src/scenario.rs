@@ -43,8 +43,8 @@ use crate::error::SimError;
 use crate::exec::{try_parallel_map, ExecPolicy};
 use crate::jsonio::{self, Json};
 use crate::pipeline::{
-    filter_train_eval, hugging_placement, prepare, run_cell, run_cell_trained, EvalOutcome,
-    ExperimentConfig, Prepared,
+    filter_train_eval, hugging_placement, prepare, run_cell, EvalOutcome, ExperimentConfig,
+    Prepared,
 };
 use poisongame_attack::{
     AttackStrategy, BoundaryAttack, LabelFlipAttack, MixedRadiusAttack, RadiusSpec,
@@ -54,14 +54,12 @@ use poisongame_defense::{
     CentroidEstimator, Filter, FilterStrength, KnnDistanceFilter, RadiusFilter, SlabFilter,
 };
 use poisongame_linalg::rng::SplitMix64;
-use poisongame_ml::batch::batched_accuracy;
 use poisongame_ml::logreg::LogisticRegression;
 use poisongame_ml::perceptron::AveragedPerceptron;
 use poisongame_ml::svm::LinearSvm;
-use poisongame_ml::{Classifier, LinearState, TrainConfig};
+use poisongame_ml::{Classifier, TrainConfig};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Which poisoning attack a scenario runs.
 ///
@@ -920,31 +918,6 @@ pub fn run_matrix_prepared(
     matrix: &ScenarioMatrix,
     policy: &ExecPolicy,
 ) -> Result<MatrixResults, SimError> {
-    run_matrix_prepared_opts(prepared, config, matrix, policy, false)
-}
-
-/// [`run_matrix_prepared`] with the cross-cell evaluation knob
-/// exposed.
-///
-/// With `fused_eval = false` every cell evaluates its own model on the
-/// held-out split as it finishes — the historical path. With
-/// `fused_eval = true` the cells only filter + train in the worker
-/// pool; their [`LinearState`]s are then stacked and evaluated against
-/// the shared test features in **one** blocked multi-RHS GEMM. The
-/// batched kernel accumulates each cell's margins in the same order as
-/// the per-cell path, so the results are bit-identical either way —
-/// the knob only changes how the evaluation flops are scheduled.
-///
-/// # Errors
-///
-/// Same conditions as [`run_matrix_with`].
-pub fn run_matrix_prepared_opts(
-    prepared: &Prepared,
-    config: &ExperimentConfig,
-    matrix: &ScenarioMatrix,
-    policy: &ExecPolicy,
-    fused_eval: bool,
-) -> Result<MatrixResults, SimError> {
     validate_matrix(matrix)?;
 
     let baseline = filter_train_eval(
@@ -963,75 +936,26 @@ pub fn run_matrix_prepared_opts(
     let mut mix = SplitMix64::new(config.seed ^ 0x5cea_a710); // "scenario"
     let cells: Vec<(Scenario, u64)> = scenarios.into_iter().map(|s| (s, mix.next())).collect();
 
-    let done = if fused_eval {
-        // Phase 1: filter + train every cell (no per-cell evaluation).
-        let trained = try_parallel_map(policy, &cells, |_, (scenario, cell_seed)| {
+    let done = try_parallel_map(
+        policy,
+        &cells,
+        |_, (scenario, cell_seed)| -> Result<MatrixCell, SimError> {
             let mut rng = poisongame_linalg::Xoshiro256StarStar::seed_from_u64(*cell_seed);
-            run_cell_trained(
+            let outcome = run_cell(
                 prepared,
                 scenario,
                 placement,
                 FilterStrength::RemoveFraction(matrix.strength),
                 config,
                 &mut rng,
-                None,
-            )
-        })?;
-        // Phase 2: one blocked multi-RHS evaluation over every cell's
-        // state. Cells without a linear state (none of the bundled
-        // learners) already carry their fallback accuracy.
-        let states: Vec<LinearState> = trained.iter().filter_map(|t| t.state.clone()).collect();
-        let started = Instant::now();
-        let batched = batched_accuracy(
-            prepared.test().features(),
-            prepared.test().labels(),
-            &states,
-        )?;
-        crate::timing::record_eval(started.elapsed());
-        let mut accuracies = batched.into_iter();
-        cells
-            .into_iter()
-            .zip(trained)
-            .map(|((scenario, cell_seed), cell)| {
-                let accuracy = match cell.fallback_accuracy {
-                    Some(acc) => acc,
-                    None => accuracies
-                        .next()
-                        .expect("one batched accuracy per linear-state cell"),
-                };
-                MatrixCell {
-                    scenario,
-                    cell_seed,
-                    outcome: EvalOutcome {
-                        accuracy,
-                        accounting: cell.accounting,
-                        removed_fraction: cell.removed_fraction,
-                    },
-                }
+            )?;
+            Ok(MatrixCell {
+                scenario: scenario.clone(),
+                cell_seed: *cell_seed,
+                outcome,
             })
-            .collect()
-    } else {
-        try_parallel_map(
-            policy,
-            &cells,
-            |_, (scenario, cell_seed)| -> Result<MatrixCell, SimError> {
-                let mut rng = poisongame_linalg::Xoshiro256StarStar::seed_from_u64(*cell_seed);
-                let outcome = run_cell(
-                    prepared,
-                    scenario,
-                    placement,
-                    FilterStrength::RemoveFraction(matrix.strength),
-                    config,
-                    &mut rng,
-                )?;
-                Ok(MatrixCell {
-                    scenario: scenario.clone(),
-                    cell_seed: *cell_seed,
-                    outcome,
-                })
-            },
-        )?
-    };
+        },
+    )?;
 
     Ok(MatrixResults {
         cells: done,
@@ -1231,33 +1155,6 @@ mod tests {
             .unwrap()
             .engine
             .is_none());
-    }
-
-    #[test]
-    fn fused_cross_cell_eval_is_byte_identical() {
-        // The fused path reschedules the evaluation flops (one blocked
-        // multi-RHS GEMM instead of per-cell loops); the serialized
-        // results must not change by a single byte, across every
-        // bundled learner.
-        let config = quick_config();
-        let matrix = ScenarioMatrix {
-            attacks: vec![AttackSpec::Boundary, AttackSpec::LabelFlip],
-            defenses: vec![DefenseSpec::Radius],
-            learners: vec![
-                LearnerSpec::Svm,
-                LearnerSpec::Perceptron,
-                LearnerSpec::LogReg,
-            ],
-            strength: 0.15,
-            placement_slack: 0.01,
-        };
-        let prepared = prepare(&config).unwrap();
-        let plain =
-            run_matrix_prepared(&prepared, &config, &matrix, &ExecPolicy::default()).unwrap();
-        let fused =
-            run_matrix_prepared_opts(&prepared, &config, &matrix, &ExecPolicy::default(), true)
-                .unwrap();
-        assert_eq!(plain.to_json_string(), fused.to_json_string());
     }
 
     #[test]

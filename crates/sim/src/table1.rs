@@ -10,11 +10,10 @@
 use crate::error::SimError;
 use crate::estimate::CurveEstimate;
 use crate::exec::{try_parallel_map, ExecPolicy};
-use crate::pipeline::{prepare, run_cell_warm, ExperimentConfig, Prepared};
+use crate::pipeline::{prepare, run_cell, ExperimentConfig, Prepared};
 use poisongame_core::{Algorithm1, DefenderMixedStrategy};
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
-use poisongame_ml::LinearState;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
@@ -99,27 +98,6 @@ pub fn evaluate_mixed_defense_prepared(
     placement_slack: f64,
     policy: &ExecPolicy,
 ) -> Result<(f64, f64), SimError> {
-    evaluate_mixed_defense_opts(prepared, config, strategy, placement_slack, policy, false)
-}
-
-/// [`evaluate_mixed_defense_prepared`] with the engine's warm-start
-/// knob: when `warm_sweep` is true, the filter-strength axis inside
-/// each candidate (already sequential) chains training from the
-/// neighbouring strength's fitted weights via
-/// [`poisongame_ml::Classifier::fit_from`]. Opt-in only — it changes
-/// results slightly, so golden paths pass `false`.
-///
-/// # Errors
-///
-/// Propagates pipeline failures.
-pub fn evaluate_mixed_defense_opts(
-    prepared: &Prepared,
-    config: &ExperimentConfig,
-    strategy: &DefenderMixedStrategy,
-    placement_slack: f64,
-    policy: &ExecPolicy,
-    warm_sweep: bool,
-) -> Result<(f64, f64), SimError> {
     let expected_per_candidate = try_parallel_map(
         policy,
         strategy.support(),
@@ -127,9 +105,6 @@ pub fn evaluate_mixed_defense_opts(
             let placement =
                 crate::pipeline::hugging_placement(prepared, candidate, placement_slack);
             let mut expected = 0.0;
-            // The warm chain runs along the (ascending) strength axis
-            // of this candidate only; candidates stay independent.
-            let mut warm: Option<LinearState> = None;
             for (&theta, &q) in strategy.support().iter().zip(strategy.probabilities()) {
                 if q == 0.0 {
                     continue;
@@ -137,18 +112,14 @@ pub fn evaluate_mixed_defense_opts(
                 let mut rng = Xoshiro256StarStar::seed_from_u64(
                     config.seed ^ candidate.to_bits() ^ theta.to_bits().rotate_left(13),
                 );
-                let (out, state) = run_cell_warm(
+                let out = run_cell(
                     prepared,
                     &config.scenario,
                     placement,
                     FilterStrength::RemoveFraction(theta),
                     config,
                     &mut rng,
-                    if warm_sweep { warm.as_ref() } else { None },
                 )?;
-                if warm_sweep {
-                    warm = state;
-                }
                 expected += q * out.accuracy;
             }
             Ok(expected)
@@ -222,21 +193,16 @@ pub fn run_table1_with(
         support_sizes,
         best_pure_accuracy,
         policy,
-        false,
     )
 }
 
 /// [`run_table1_with`] against an already-prepared dataset — the
 /// evaluate phase of the engine's prepare → evaluate task graph.
-/// `warm_sweep` chains each row's empirical evaluation along its
-/// filter-strength axis (see [`evaluate_mixed_defense_opts`]); golden
-/// paths pass `false`.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::BadParameter`] for an empty size list and
 /// propagates solver/pipeline failures.
-#[allow(clippy::too_many_arguments)]
 pub fn run_table1_prepared(
     prepared: &Prepared,
     config: &ExperimentConfig,
@@ -244,7 +210,6 @@ pub fn run_table1_prepared(
     support_sizes: &[usize],
     best_pure_accuracy: f64,
     policy: &ExecPolicy,
-    warm_sweep: bool,
 ) -> Result<Table1Results, SimError> {
     if support_sizes.is_empty() {
         return Err(SimError::BadParameter {
@@ -262,13 +227,12 @@ pub fn run_table1_prepared(
             let solver = Algorithm1::new(config.algorithm1_config(n));
             let result = solver.solve(&game)?;
             let predicted = (curves.baseline_accuracy - result.defender_loss).clamp(0.0, 1.0);
-            let (empirical, placement) = evaluate_mixed_defense_opts(
+            let (empirical, placement) = evaluate_mixed_defense_prepared(
                 prepared,
                 config,
                 &result.strategy,
                 0.01,
                 &ExecPolicy::sequential(),
-                warm_sweep,
             )?;
             Ok(Table1Row {
                 n_radii: n,
@@ -295,7 +259,6 @@ mod tests {
     use crate::scenario::Scenario;
     use poisongame_core::SolverKind;
     use poisongame_defense::CentroidEstimator;
-    use poisongame_ml::FitKernel;
 
     fn quick_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -307,7 +270,6 @@ mod tests {
             centroid: CentroidEstimator::CoordinateMedian,
             solver: SolverKind::Auto,
             warm_start: false,
-            fit_kernel: FitKernel::RowSgd,
             scenario: Scenario::default(),
         }
     }

@@ -17,7 +17,6 @@ fn probe() {
         centroid: CentroidEstimator::CoordinateMedian,
         solver: SolverKind::Auto,
         warm_start: false,
-        fit_kernel: Default::default(),
         scenario: Default::default(),
     };
     let p = prepare(&config).unwrap();

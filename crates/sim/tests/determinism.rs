@@ -29,7 +29,6 @@ fn tiny_config() -> ExperimentConfig {
         centroid: CentroidEstimator::CoordinateMedian,
         solver: SolverKind::Auto,
         warm_start: false,
-        fit_kernel: poisongame_ml::FitKernel::RowSgd,
         scenario: Scenario::default(),
     }
 }

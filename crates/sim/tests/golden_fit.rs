@@ -157,7 +157,6 @@ fn fit_digest() -> (u64, usize, usize) {
                         schedule,
                         seed: 0x5eed ^ lambda.to_bits(),
                         fit_bias,
-                        ..TrainConfig::default()
                     };
                     record(&mut h, &config, data);
                 }

@@ -6,10 +6,10 @@
 
 use poisongame_core::SolverKind;
 use poisongame_defense::CentroidEstimator;
-use poisongame_ml::FitKernel;
 use poisongame_sim::jsonio::Json;
 use poisongame_sim::pipeline::{DataSource, ExperimentConfig};
 use poisongame_sim::scenario::{AttackSpec, DefenseSpec, LearnerSpec, Scenario, ScenarioMatrix};
+use poisongame_sim::SimError;
 
 fn all_attacks() -> Vec<AttackSpec> {
     vec![
@@ -172,7 +172,6 @@ fn config_round_trips_with_every_field() {
         centroid: CentroidEstimator::TrimmedMean { trim: 0.1 },
         solver: SolverKind::FictitiousPlay,
         warm_start: true,
-        fit_kernel: FitKernel::Minibatch { batch: 64 },
         scenario: Scenario {
             attack: AttackSpec::LabelFlip,
             defense: DefenseSpec::Knn { k: 5 },
@@ -191,6 +190,26 @@ fn config_round_trips_with_every_field() {
     };
     let back = ExperimentConfig::from_json_str(&csv.to_json_string()).unwrap();
     assert_eq!(back, csv);
+}
+
+#[test]
+fn config_rejects_the_removed_fit_kernel_key() {
+    // Training has one kernel, so the wire form has no key to select
+    // one: a config still carrying it is a spec error, never silently
+    // trained some other way.
+    assert!(!ExperimentConfig::paper()
+        .to_json_string()
+        .contains("fit_kernel"));
+    for spec in [
+        r#"{"fit_kernel": "row_sgd"}"#,
+        r#"{"fit_kernel": {"type": "minibatch", "batch": 64}}"#,
+    ] {
+        let err = ExperimentConfig::from_json_str(spec).unwrap_err();
+        assert!(
+            matches!(&err, SimError::Spec(msg) if msg.contains("`fit_kernel`")),
+            "{spec}: {err:?}"
+        );
+    }
 }
 
 #[test]

@@ -7,22 +7,14 @@
 //! and prints the ranked long-format table plus the CSV in grid order.
 //!
 //! ```sh
-//! cargo run --release --example scenario_matrix               # quick grid
-//! cargo run --release --example scenario_matrix -- full       # paper scale
-//! cargo run --release --example scenario_matrix -- minibatch  # batched kernels
+//! cargo run --release --example scenario_matrix          # quick grid
+//! cargo run --release --example scenario_matrix -- full  # paper scale
 //! ```
-//!
-//! `minibatch` switches every fit to the blocked minibatch kernel and
-//! turns on fused cross-cell evaluation — the throughput shape from
-//! PR 6. Accuracies differ in low-order bits from the row-SGD grid
-//! (the fit path is different math); the fused eval alone is
-//! bit-identical.
 
 use poisongame::sim::engine::EvalEngine;
 use poisongame::sim::pipeline::{DataSource, ExperimentConfig};
 use poisongame::sim::report::{matrix_csv, matrix_table};
 use poisongame::sim::scenario::ScenarioMatrix;
-use poisongame::sim::FitKernel;
 
 /// The grid as it would live in a config file: all four attacks, all
 /// three defenses, two learners, one shared filter strength.
@@ -48,8 +40,7 @@ const SPEC: &str = r#"{
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full = std::env::args().any(|a| a == "full");
-    let minibatch = std::env::args().any(|a| a == "minibatch");
-    let mut config = if full {
+    let config = if full {
         ExperimentConfig::paper()
     } else {
         ExperimentConfig {
@@ -58,9 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..ExperimentConfig::paper()
         }
     };
-    if minibatch {
-        config.fit_kernel = FitKernel::Minibatch { batch: 64 };
-    }
 
     let matrix = ScenarioMatrix::from_json_str(SPEC)?;
     println!("== scenario matrix ==");
@@ -76,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One engine drives every run: the dataset is prepared once per
     // distinct (source, seed, test_fraction) key — not once per run,
     // let alone once per cell — and later runs share the cached Arc.
-    let engine = EvalEngine::new().fused_eval(minibatch);
+    let engine = EvalEngine::new();
     let results = engine.run_matrix(&config, &matrix)?;
     println!("{}", matrix_table(&results));
 

@@ -21,7 +21,6 @@ fn quick_config(seed: u64) -> ExperimentConfig {
         centroid: CentroidEstimator::CoordinateMedian,
         solver: SolverKind::Auto,
         warm_start: false,
-        fit_kernel: poisongame::ml::FitKernel::RowSgd,
         scenario: Scenario::default(),
     }
 }
