@@ -177,4 +177,48 @@ mod tests {
         let mut m = LogisticRegression::with_defaults();
         assert!(m.fit(&Dataset::empty(2)).is_err());
     }
+
+    #[test]
+    fn rejects_bad_hyperparameters() {
+        let data = blobs(24);
+        let mut m = LogisticRegression::new(TrainConfig {
+            lambda: f64::NAN,
+            ..TrainConfig::default()
+        });
+        assert!(matches!(
+            m.fit(&data).unwrap_err(),
+            MlError::BadHyperparameter { what: "lambda", .. }
+        ));
+        assert!(m.weights().is_none(), "a rejected fit leaves no model");
+    }
+
+    #[test]
+    fn dimension_mismatch_detected() {
+        let data = blobs(25);
+        let mut m = LogisticRegression::new(TrainConfig {
+            epochs: 10,
+            ..TrainConfig::default()
+        });
+        m.fit(&data).unwrap();
+        assert!(matches!(
+            m.predict_proba(&[1.0]).unwrap_err(),
+            MlError::DimensionMismatch {
+                expected: 3,
+                found: 1
+            }
+        ));
+    }
+
+    #[test]
+    fn no_bias_stays_zero() {
+        let data = blobs(26);
+        let mut m = LogisticRegression::new(TrainConfig {
+            epochs: 10,
+            fit_bias: false,
+            ..TrainConfig::default()
+        });
+        m.fit(&data).unwrap();
+        assert_eq!(m.bias(), 0.0);
+        assert!(m.accuracy_on(&data) > 0.9);
+    }
 }

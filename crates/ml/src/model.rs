@@ -201,6 +201,34 @@ mod tests {
     }
 
     #[test]
+    fn config_validation_names_the_bad_field() {
+        let what = |c: TrainConfig| match c.validate() {
+            Err(MlError::BadHyperparameter { what, .. }) => what,
+            other => panic!("expected BadHyperparameter, got {other:?}"),
+        };
+        let base = TrainConfig::default;
+        assert_eq!(
+            what(TrainConfig {
+                epochs: 0,
+                ..base()
+            }),
+            "epochs"
+        );
+        for lambda in [-1e-9, f64::NAN, f64::INFINITY] {
+            assert_eq!(what(TrainConfig { lambda, ..base() }), "lambda");
+        }
+        let schedule = Schedule::Constant { eta0: 0.0 };
+        assert_eq!(what(TrainConfig { schedule, ..base() }), "schedule");
+        // λ = 0 (no regularization) is allowed.
+        TrainConfig {
+            lambda: 0.0,
+            ..base()
+        }
+        .validate()
+        .unwrap();
+    }
+
+    #[test]
     fn check_trainable_conditions() {
         let empty = Dataset::empty(2);
         assert!(matches!(

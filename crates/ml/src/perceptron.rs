@@ -131,6 +131,7 @@ impl Classifier for AveragedPerceptron {
 mod tests {
     use super::*;
     use poisongame_data::synth::gaussian_blobs;
+    use poisongame_data::{Dataset, Label};
 
     #[test]
     fn learns_separable_data() {
@@ -186,5 +187,49 @@ mod tests {
         a.fit(&data).unwrap();
         b.fit(&data).unwrap();
         assert_eq!(a.weights(), b.weights());
+    }
+
+    #[test]
+    fn rejects_untrainable_sets() {
+        let mut p = AveragedPerceptron::default();
+        assert!(matches!(
+            p.fit(&Dataset::empty(2)).unwrap_err(),
+            MlError::EmptyTrainingSet
+        ));
+        let single = Dataset::from_rows(
+            vec![vec![1.0, 0.0], vec![0.0, 1.0]],
+            vec![Label::Negative, Label::Negative],
+        )
+        .unwrap();
+        assert!(matches!(p.fit(&single).unwrap_err(), MlError::SingleClass));
+        assert!(p.weights().is_none());
+    }
+
+    #[test]
+    fn dimension_mismatch_detected() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(35);
+        let data = gaussian_blobs(20, 2, 3.0, 0.5, &mut rng);
+        let mut p = AveragedPerceptron::default();
+        p.fit(&data).unwrap();
+        assert!(matches!(
+            p.decision_function(&[1.0, 2.0, 3.0]).unwrap_err(),
+            MlError::DimensionMismatch {
+                expected: 2,
+                found: 3
+            }
+        ));
+    }
+
+    #[test]
+    fn no_bias_stays_zero() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(36);
+        let data = gaussian_blobs(40, 2, 3.0, 0.5, &mut rng);
+        let mut p = AveragedPerceptron::new(TrainConfig {
+            epochs: 10,
+            fit_bias: false,
+            ..TrainConfig::default()
+        });
+        p.fit(&data).unwrap();
+        assert_eq!(p.bias(), 0.0);
     }
 }

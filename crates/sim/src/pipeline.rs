@@ -1078,6 +1078,63 @@ mod tests {
     }
 
     #[test]
+    fn cell_score_is_bit_identical_to_a_cold_fit_scored_per_point() {
+        use crate::scenario::LearnerSpec;
+        let config = quick_spam_config();
+        let p = prepare(&config).unwrap();
+        let strength = FilterStrength::RemoveFraction(0.1);
+        for learner in [
+            LearnerSpec::Svm,
+            LearnerSpec::Perceptron,
+            LearnerSpec::LogReg,
+        ] {
+            let scenario = Scenario {
+                learner,
+                ..Scenario::default()
+            };
+            let out =
+                filter_train_eval_scenario(p.train(), &[], p.test(), strength, &scenario, &config)
+                    .unwrap();
+
+            let filter = scenario.defense.build(strength, config.centroid).unwrap();
+            let split = filter.split(p.train()).unwrap();
+            let mut model = learner.build(config.train_config());
+            model.fit(&split.kept_dataset(p.train())).unwrap();
+            let expected = model.accuracy_on(p.test());
+            assert_eq!(
+                out.accuracy.to_bits(),
+                expected.to_bits(),
+                "{learner:?}: {} vs {expected}",
+                out.accuracy
+            );
+            assert_eq!(out.removed_fraction, split.removed_fraction(p.train()));
+        }
+    }
+
+    #[test]
+    fn run_cell_poisons_then_takes_the_one_fit_path() {
+        let config = quick_spam_config();
+        let p = prepare(&config).unwrap();
+        let strength = FilterStrength::RemoveFraction(0.05);
+        let scenario = &config.scenario;
+        let mut rng = Xoshiro256StarStar::seed_from_u64(17);
+        let out = run_cell(&p, scenario, 0.1, strength, &config, &mut rng).unwrap();
+
+        let mut rng = Xoshiro256StarStar::seed_from_u64(17);
+        let attack = scenario.attack.build(0.1, p.n_poison).unwrap();
+        let poison = attack.generate(p.train(), p.n_poison, &mut rng).unwrap();
+        let poisoned = PoisonedView::new(p.train(), poison).unwrap();
+        let injected: Vec<usize> = poisoned.appended_indices().collect();
+        assert_eq!(injected.len(), p.n_poison);
+        let expected =
+            filter_train_eval_scenario(&poisoned, &injected, p.test(), strength, scenario, &config)
+                .unwrap();
+        assert_eq!(out.accuracy.to_bits(), expected.accuracy.to_bits());
+        assert_eq!(out.accounting, expected.accounting);
+        assert_eq!(out.removed_fraction, expected.removed_fraction);
+    }
+
+    #[test]
     fn eval_outcome_json_round_trips() {
         let outcome = EvalOutcome {
             accuracy: 0.8734567891234,
