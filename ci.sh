@@ -222,45 +222,38 @@ rm -rf "$INGEST_DIR"
 rm -f "$SERVE_PORT_FILE" "$GW_PORT_FILE"
 
 # Online-play smoke: short-horizon repeated game on the discretized
-# paper game plus the empirical engine-backed mode. The example
+# paper game plus the empirical mode on real data. The example
 # asserts regret shrinks, the averaged value lands within 1e-2 of the
-# static NE, and payoff queries hit the prep cache — a regression in
-# any of those fails the gate.
+# static NE, the empirical run stays within an order of magnitude of
+# the static solve, and the trace is byte-identical on the sequential
+# and the default policy — a regression in any of those fails the
+# gate.
 echo "==> cargo run --release --example online_play"
 cargo run --release --example online_play
 
-# Training bench in smoke mode, named explicitly: SVM and logistic
-# regression fits at three sizes, plus the 24-cell grid.
-echo "==> cargo bench -p poisongame-bench --bench train_kernel -- --test (smoke)"
-cargo bench -p poisongame-bench --bench train_kernel -- --test
-
-# Execution-runtime bench in smoke mode, named explicitly: per-call
-# scoped spawning vs the shared worker pool at 1/8/64-cell grids, and
-# serial vs pool-parallel gemm_nt (each iteration asserts bit-exact
-# checksums, so this also guards the parallel kernel's identity).
-echo "==> cargo bench -p poisongame-bench --bench exec_pool -- --test (smoke)"
-cargo bench -p poisongame-bench --bench exec_pool -- --test
-
-# Telemetry-overhead bench in smoke mode, both builds: the default
-# (instrumented) build asserts the pipeline-phase counters recorded
-# time; the obs-noop build asserts the same calls compiled to nothing.
-# Each iteration also asserts the 24-cell grid checksum is unchanged,
-# so instrumentation provably never touches a result.
-echo "==> cargo bench -p poisongame-bench --bench obs_overhead -- --test (smoke)"
-cargo bench -p poisongame-bench --bench obs_overhead -- --test
+# Telemetry-overhead bench in the obs-noop build: asserts the
+# pipeline-phase calls compiled to nothing, and each iteration asserts
+# the 24-cell grid checksum is unchanged. The default (instrumented)
+# build of the same bench runs in the step below.
 echo "==> cargo bench -p poisongame-bench --bench obs_overhead --features obs-noop -- --test (smoke)"
 cargo bench -p poisongame-bench --bench obs_overhead --features obs-noop -- --test
-
-# Ingestion bench in smoke mode, named explicitly: chunked scan /
-# strict parse throughput, plus whole-file vs out-of-core preparation
-# of on-disk file sources.
-echo "==> cargo bench -p poisongame-bench --bench ingest -- --test (smoke)"
-cargo bench -p poisongame-bench --bench ingest -- --test
 
 # Bench binaries in --test smoke mode (one sample per bench): keeps
 # every bench compiling AND running without paying for statistics.
 # Scoped to the bench package so the arg reaches only the harness=false
-# bench binaries, not every crate's libtest harness.
+# bench binaries, not every crate's libtest harness. Among them:
+# - train_kernel: SVM and logistic regression fits at three sizes,
+#   plus the 24-cell grid;
+# - exec_pool: per-call scoped spawning vs the shared worker pool at
+#   1/8/64-cell grids, and serial vs pool-parallel gemm_nt (each
+#   iteration asserts bit-exact checksums, so this also guards the
+#   parallel kernel's identity);
+# - obs_overhead (default, instrumented build): asserts the
+#   pipeline-phase counters recorded time and the 24-cell grid
+#   checksum is unchanged, so instrumentation provably never touches
+#   a result;
+# - ingest: chunked scan / strict parse throughput, plus whole-file vs
+#   out-of-core preparation of on-disk file sources.
 echo "==> cargo bench -p poisongame-bench -- --test (smoke)"
 cargo bench -p poisongame-bench -- --test
 

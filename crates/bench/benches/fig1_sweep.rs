@@ -7,8 +7,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use poisongame_bench::bench_experiment_config;
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
-use poisongame_sim::fig1::{run_fig1, Fig1Config};
-use poisongame_sim::pipeline::{attack_filter_train_eval, prepare};
+use poisongame_sim::engine::EvalEngine;
+use poisongame_sim::fig1::Fig1Config;
+use poisongame_sim::pipeline::{prepare, run_cell};
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -22,8 +23,9 @@ fn bench_fig1(c: &mut Criterion) {
     group.bench_function("single_sweep_point", |b| {
         b.iter(|| {
             let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-            let out = attack_filter_train_eval(
+            let out = run_cell(
                 &prepared,
+                &config.scenario,
                 black_box(0.12),
                 FilterStrength::RemoveFraction(0.10),
                 &config,
@@ -39,8 +41,12 @@ fn bench_fig1(c: &mut Criterion) {
             strengths: vec![0.0, 0.10, 0.25],
             placement_slack: 0.01,
         };
+        // A fresh engine per iteration: every sweep pays for its own
+        // preparation, like a cold run.
         b.iter(|| {
-            let r = run_fig1(&config, &sweep).expect("sweep runs");
+            let r = EvalEngine::new()
+                .run_fig1(&config, &sweep)
+                .expect("sweep runs");
             black_box(r.baseline_accuracy)
         })
     });

@@ -21,8 +21,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use poisongame_obs::{EventLog, Registry};
+use poisongame_sim::engine::EvalEngine;
 use poisongame_sim::pipeline::{DataSource, ExperimentConfig};
-use poisongame_sim::scenario::{run_matrix, ScenarioMatrix};
+use poisongame_sim::scenario::ScenarioMatrix;
 use std::hint::black_box;
 
 fn bench_record(c: &mut Criterion) {
@@ -98,7 +99,9 @@ fn grid24(seed: u64) -> f64 {
         ..ExperimentConfig::paper()
     };
     let matrix = ScenarioMatrix::from_json_str(GRID_SPEC).expect("grid spec parses");
-    let results = run_matrix(&config, &matrix).expect("grid runs");
+    let results = EvalEngine::new()
+        .run_matrix(&config, &matrix)
+        .expect("grid runs");
     assert_eq!(
         results.cells.len(),
         24,

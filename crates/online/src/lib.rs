@@ -15,22 +15,22 @@
 //! * [`learner`] — the [`Learner`] trait and the shipped update
 //!   rules: regret matching, Hedge (anytime multiplicative weights),
 //!   fictitious play, and fixed-NE / fixed-pure baselines.
-//! * [`payoff`] — how rounds are scored: a precomputed
-//!   [`MatrixPayoff`] (the paper's discretized game — horizons of
-//!   `T ≥ 10k` run at solver speed), or the [`EnginePayoff`] that
-//!   scores each pair by **actually running** the configured
-//!   attack × defense × learner cell through the
-//!   [`poisongame_sim::EvalEngine`] (`PrepCache`-hit per query,
-//!   memoized per entry).
-//! * [`play`] — the deterministic simulator and its convergence
-//!   diagnostics (per-player external regret, exploitability, NE
-//!   gap), serialized as an [`OnlineTrace`].
+//! * [`payoff`] — empirical scoring: each `(attack level, defense)`
+//!   pair is scored by **actually running** the configured
+//!   attack × defense × learner cell on prepared data.
+//! * [`mod@play`] — the deterministic simulator over a payoff
+//!   [`poisongame_theory::MatrixGame`] (the paper's discretized game,
+//!   or an empirical grid — horizons of `T ≥ 10k` run at solver
+//!   speed) and its convergence diagnostics (per-player external
+//!   regret, exploitability, NE gap), serialized as an
+//!   [`OnlineTrace`].
 //! * [`spec`] — the serializable [`OnlineSpec`] the serving protocol
 //!   ships.
 //! * [`pipeline`] — empirical runs end to end: [`run_online`]
-//!   (parallel grid materialization), [`run_online_engine`] (lazy,
-//!   cache-hitting), [`run_online_prepared`] (the serving dispatch
-//!   path) — all bit-identical for the same inputs.
+//!   (cached preparation through the [`poisongame_sim::EvalEngine`],
+//!   then the evaluate phase on its policy) and
+//!   [`run_online_prepared`] (the evaluate phase alone — the serving
+//!   dispatch path), bit-identical for the same inputs.
 //! * [`report`] — ASCII/CSV rendering of traces.
 //!
 //! # Example
@@ -41,7 +41,6 @@
 //! ```no_run
 //! use poisongame_core::bridge::{discretized_game, solve_discretized};
 //! use poisongame_core::{CostCurve, EffectCurve, PoisonGame};
-//! use poisongame_online::payoff::MatrixPayoff;
 //! use poisongame_online::play::{play, PlayConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,10 +49,7 @@
 //! let game = PoisonGame::new(effect, cost, 644)?;
 //! let (_grid, matrix) = discretized_game(&game, 40);
 //!
-//! let trace = play(
-//!     &mut MatrixPayoff::new(matrix),
-//!     &PlayConfig { rounds: 10_000, ..PlayConfig::default() },
-//! )?;
+//! let trace = play(&matrix, &PlayConfig { rounds: 10_000, ..PlayConfig::default() })?;
 //! let lp = solve_discretized(&game, 40)?;
 //! assert!((trace.last().average_value - lp.value).abs() < 1e-2);
 //! # Ok(())
@@ -73,7 +69,6 @@ pub mod spec;
 
 pub use error::OnlineError;
 pub use learner::{FixedStrategy, FollowTheLeader, Hedge, Learner, LearnerKind, RegretMatching};
-pub use payoff::{EnginePayoff, MatrixPayoff, RoundPayoff};
-pub use pipeline::{run_online, run_online_engine, run_online_prepared, OnlineOutcome};
-pub use play::{play, play_on_matrix, Feedback, OnlinePoint, OnlineTrace, PlayConfig};
+pub use pipeline::{run_online, run_online_prepared, OnlineOutcome};
+pub use play::{play, Feedback, OnlinePoint, OnlineTrace, PlayConfig};
 pub use spec::OnlineSpec;

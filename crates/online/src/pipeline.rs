@@ -2,27 +2,23 @@
 //! the [`EvalEngine`], payoff-grid materialization through the
 //! two-phase task graph, then the sequential play loop.
 //!
-//! Three entry points, all producing **bit-identical traces** for the
-//! same `(config, spec)`:
+//! Two entry points, producing **bit-identical traces** for the same
+//! `(config, spec)`:
 //!
-//! * [`run_online`] — the batch front door: cached preparation, then
+//! * [`run_online`] — the front door: cached preparation through the
+//!   engine, then [`run_online_prepared`] on the engine's policy.
+//! * [`run_online_prepared`] — the evaluate phase alone, against an
+//!   already-shared preparation (what the serving dispatcher calls):
 //!   the payoff grid fanned out across the process-wide worker pool
 //!   (`poisongame_sim::exec::pool`) via [`prepare_then_map`] (the
 //!   baseline is phase 1, the cells phase 2), then play. The pool's
 //!   submitter-participates design means this is safe to call from
 //!   inside another parallel map — e.g. a grid of online games — with
 //!   no deadlock and unchanged traces.
-//! * [`run_online_prepared`] — the evaluate phase alone, against an
-//!   already-shared preparation (what the serving dispatcher calls).
-//! * [`run_online_engine`] — the lazy [`EnginePayoff`] route: every
-//!   cell query prepares through the engine (a `PrepCache` hit after
-//!   the first) and memoizes locally. Same numbers, different
-//!   schedule; its [`EngineStats`] shows cache hits outnumbering
-//!   misses.
 
 use crate::error::OnlineError;
-use crate::payoff::{cell_seeds, empirical_baseline, empirical_entry, EnginePayoff};
-use crate::play::{play, play_on_matrix, OnlineTrace, PlayConfig};
+use crate::payoff::{cell_seeds, empirical_baseline, empirical_entry};
+use crate::play::{play, OnlineTrace, PlayConfig};
 use crate::spec::OnlineSpec;
 use poisongame_sim::engine::EvalEngine;
 use poisongame_sim::exec::{prepare_then_map, ExecPolicy};
@@ -31,21 +27,20 @@ use poisongame_sim::scenario::EngineStats;
 use poisongame_theory::MatrixGame;
 use std::time::Instant;
 
-/// The result of one empirical online run: the trace plus, when the
-/// run went through an engine entry point, cache/throughput
-/// measurements (wall-clock fields are nondeterministic — compare
-/// traces, not stats).
+/// The result of one empirical online run: the trace plus the
+/// engine's cache/throughput measurements (wall-clock fields are
+/// nondeterministic — compare traces, not stats).
 #[derive(Debug, Clone)]
 pub struct OnlineOutcome {
     /// The diagnostics trace.
     pub trace: OnlineTrace,
-    /// Engine-side measurements (`None` on the prepared-only path).
-    pub engine: Option<EngineStats>,
+    /// Engine-side measurements.
+    pub engine: EngineStats,
 }
 
 /// The play configuration a `(config, spec)` pair implies: the
 /// experiment's master seed is recorded verbatim (the sampling stream
-/// is salted inside [`crate::play::play_on_matrix`]), so the trace's
+/// is salted inside [`crate::play::play`]), so the trace's
 /// `seed` field is exactly the seed that reproduces the whole run.
 fn play_config(config: &ExperimentConfig, spec: &OnlineSpec) -> PlayConfig {
     PlayConfig {
@@ -99,32 +94,32 @@ pub fn materialize_grid(
 }
 
 /// Run one empirical online game through the engine: cached
-/// preparation, parallel grid materialization, sequential play.
+/// preparation, then grid materialization on the engine's policy and
+/// sequential play.
 ///
 /// # Errors
 ///
 /// Propagates spec validation, preparation, evaluation and play
-/// failures.
+/// failures; a bad spec is rejected before preparation.
 pub fn run_online(
     engine: &EvalEngine,
     config: &ExperimentConfig,
     spec: &OnlineSpec,
-    policy: &ExecPolicy,
 ) -> Result<OnlineOutcome, OnlineError> {
     spec.validate()?;
     let before = engine.cache_stats();
     let start = Instant::now();
     let prepared = engine.prepare(config)?;
-    let trace = run_online_prepared(&prepared, config, spec, policy)?;
+    let trace = run_online_prepared(&prepared, config, spec, engine.policy())?;
     let after = engine.cache_stats();
     Ok(OnlineOutcome {
         trace,
-        engine: Some(EngineStats {
+        engine: EngineStats {
             prep_hits: after.hits - before.hits,
             prep_misses: after.misses - before.misses,
             cells: spec.n_cells(),
             elapsed_micros: start.elapsed().as_micros(),
-        }),
+        },
     })
 }
 
@@ -142,37 +137,7 @@ pub fn run_online_prepared(
     policy: &ExecPolicy,
 ) -> Result<OnlineTrace, OnlineError> {
     let game = materialize_grid(prepared, config, spec, policy)?;
-    play_on_matrix(&game, &play_config(config, spec))
-}
-
-/// The lazy engine-backed route: cells materialize one query at a
-/// time through [`EnginePayoff`], each preparing via the engine's
-/// `PrepCache` (hits outnumber misses from the second query on).
-/// Bit-identical to [`run_online`] — only the schedule differs.
-///
-/// # Errors
-///
-/// Propagates spec validation, evaluation and play failures.
-pub fn run_online_engine(
-    engine: &EvalEngine,
-    config: &ExperimentConfig,
-    spec: &OnlineSpec,
-) -> Result<OnlineOutcome, OnlineError> {
-    spec.validate()?;
-    let before = engine.cache_stats();
-    let start = Instant::now();
-    let mut payoff = EnginePayoff::new(engine, config, &spec.placements, &spec.strengths)?;
-    let trace = play(&mut payoff, &play_config(config, spec))?;
-    let after = engine.cache_stats();
-    Ok(OnlineOutcome {
-        trace,
-        engine: Some(EngineStats {
-            prep_hits: after.hits - before.hits,
-            prep_misses: after.misses - before.misses,
-            cells: spec.n_cells(),
-            elapsed_micros: start.elapsed().as_micros(),
-        }),
-    })
+    play(&game, &play_config(config, spec))
 }
 
 #[cfg(test)]
@@ -199,36 +164,29 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_parallel_routes_are_bit_identical() {
+    fn engine_and_served_routes_are_bit_identical() {
         let config = quick_config();
         let spec = quick_spec();
 
-        let engine = EvalEngine::new();
-        let lazy = run_online_engine(&engine, &config, &spec).unwrap();
+        let engine = EvalEngine::with_policy(ExecPolicy::with_threads(4));
+        let first = run_online(&engine, &config, &spec).unwrap();
         assert_eq!(
-            lazy.trace.seed, config.seed,
+            first.trace.seed, config.seed,
             "the trace records the master seed verbatim, reproducing the run"
         );
-        let stats = lazy.engine.expect("engine route carries stats");
-        assert_eq!(stats.cells, 9);
-        assert!(
-            stats.prep_hits > stats.prep_misses,
-            "lazy route must hit the prep cache: {stats:?}"
-        );
+        assert_eq!(first.engine.cells, 9);
+        assert_eq!((first.engine.prep_hits, first.engine.prep_misses), (0, 1));
 
-        let engine2 = EvalEngine::new();
-        let batch = run_online(&engine2, &config, &spec, &ExecPolicy::with_threads(4)).unwrap();
-        assert_eq!(
-            batch.trace.to_json_string(),
-            lazy.trace.to_json_string(),
-            "schedules must not change the trace"
-        );
+        // A second run on the same engine answers from the prep cache.
+        let second = run_online(&engine, &config, &spec).unwrap();
+        assert_eq!((second.engine.prep_hits, second.engine.prep_misses), (1, 0));
+        assert_eq!(second.trace.to_json_string(), first.trace.to_json_string());
 
         // The prepared-only route matches too (what serving calls).
         let prepared = prepare(&config).unwrap();
         let served =
             run_online_prepared(&prepared, &config, &spec, &ExecPolicy::sequential()).unwrap();
-        assert_eq!(served.to_json_string(), lazy.trace.to_json_string());
+        assert_eq!(served.to_json_string(), first.trace.to_json_string());
     }
 
     #[test]
@@ -239,7 +197,7 @@ mod tests {
             ..quick_spec()
         };
         let engine = EvalEngine::new();
-        let outcome = run_online(&engine, &config, &spec, &ExecPolicy::default()).unwrap();
+        let outcome = run_online(&engine, &config, &spec).unwrap();
         let trace = &outcome.trace;
         let first = &trace.points[0];
         let last = trace.last();
@@ -257,15 +215,50 @@ mod tests {
     }
 
     #[test]
+    fn grid_entries_are_the_per_cell_entries_at_any_thread_count() {
+        let config = quick_config();
+        let spec = OnlineSpec {
+            placements: vec![0.02, 0.30],
+            strengths: vec![0.0, 0.25],
+            ..quick_spec()
+        };
+        let prepared = prepare(&config).unwrap();
+        let grid = materialize_grid(&prepared, &config, &spec, &ExecPolicy::sequential()).unwrap();
+        let baseline = empirical_baseline(&prepared, &config).unwrap();
+        let seeds = cell_seeds(&config, spec.n_cells());
+        for (i, &placement) in spec.placements.iter().enumerate() {
+            for (j, &strength) in spec.strengths.iter().enumerate() {
+                let entry = empirical_entry(
+                    &prepared,
+                    &config,
+                    baseline,
+                    placement,
+                    strength,
+                    seeds[i * spec.strengths.len() + j],
+                )
+                .unwrap();
+                assert_eq!(
+                    grid.payoff(i, j).to_bits(),
+                    entry.to_bits(),
+                    "cell ({i}, {j})"
+                );
+            }
+        }
+        let parallel =
+            materialize_grid(&prepared, &config, &spec, &ExecPolicy::with_threads(4)).unwrap();
+        assert_eq!(parallel, grid);
+    }
+
+    #[test]
     fn bad_specs_fail_before_evaluation() {
         let engine = EvalEngine::new();
         let config = quick_config();
         let mut spec = quick_spec();
         spec.rounds = 0;
-        assert!(run_online(&engine, &config, &spec, &ExecPolicy::default()).is_err());
+        assert!(run_online(&engine, &config, &spec).is_err());
         spec = quick_spec();
         spec.placements = vec![2.0];
-        assert!(run_online_engine(&engine, &config, &spec).is_err());
+        assert!(run_online(&engine, &config, &spec).is_err());
         assert_eq!(
             engine.cache_stats().misses,
             0,

@@ -1,10 +1,13 @@
 //! The deterministic repeated-game simulator and its diagnostics.
 //!
-//! Two [`Learner`]s — the attacker maximizing, the defender minimizing
-//! — play `T` rounds of the zero-sum game a [`RoundPayoff`] provider
-//! scores. Each round both sides read their current mixed strategy,
-//! receive full-information feedback, and update. The simulator
-//! records convergence diagnostics at checkpoints:
+//! Two [`Learner`](crate::learner::Learner)s — the attacker
+//! maximizing, the defender minimizing — play `T` rounds of a
+//! zero-sum [`MatrixGame`]: the paper's discretized game, or an
+//! empirical grid scored by running real cells
+//! ([`crate::pipeline::materialize_grid`]). Each round both sides read
+//! their current mixed strategy, receive full-information feedback,
+//! and update. The simulator records convergence diagnostics at
+//! checkpoints:
 //!
 //! * **external regret** per player — how much the best fixed action
 //!   in hindsight beats the realized play, averaged per round (the
@@ -23,7 +26,6 @@
 
 use crate::error::OnlineError;
 use crate::learner::LearnerKind;
-use crate::payoff::RoundPayoff;
 use poisongame_linalg::Xoshiro256StarStar;
 use poisongame_sim::jsonio::{self, Json};
 use poisongame_theory::{sample_index, MatrixGame, MixedStrategy, SolverKind};
@@ -303,37 +305,19 @@ fn normalized(sums: &[f64], t: usize) -> Vec<f64> {
     sums.iter().map(|s| s / t as f64).collect()
 }
 
-/// Play `config.rounds` rounds of the game `payoff` scores and return
-/// the diagnostics trace.
+/// Play `config.rounds` rounds of `game` and return the diagnostics
+/// trace.
 ///
-/// The provider's matrix is materialized up front (memoized mode):
-/// the one-shot reference equilibrium is solved on it, and every
-/// subsequent round is pure matrix-vector work, so long horizons run
+/// The one-shot reference equilibrium is solved on the matrix first;
+/// every round is then pure matrix-vector work, so long horizons run
 /// at solver speed regardless of how expensive a single empirical
-/// payoff evaluation is.
+/// payoff evaluation was.
 ///
 /// # Errors
 ///
 /// Returns [`OnlineError::BadParameter`] for `rounds == 0`, and
-/// propagates payoff materialization, reference-solve and
-/// learner-construction failures.
-pub fn play(payoff: &mut dyn RoundPayoff, config: &PlayConfig) -> Result<OnlineTrace, OnlineError> {
-    if config.rounds == 0 {
-        return Err(OnlineError::BadParameter {
-            what: "rounds",
-            value: 0.0,
-        });
-    }
-    let game = payoff.matrix()?;
-    play_on_matrix(&game, config)
-}
-
-/// [`play`] against an already-materialized payoff matrix.
-///
-/// # Errors
-///
-/// Same conditions as [`play`] minus materialization.
-pub fn play_on_matrix(game: &MatrixGame, config: &PlayConfig) -> Result<OnlineTrace, OnlineError> {
+/// propagates reference-solve and learner-construction failures.
+pub fn play(game: &MatrixGame, config: &PlayConfig) -> Result<OnlineTrace, OnlineError> {
     if config.rounds == 0 {
         return Err(OnlineError::BadParameter {
             what: "rounds",
@@ -450,7 +434,6 @@ pub fn play_on_matrix(game: &MatrixGame, config: &PlayConfig) -> Result<OnlineTr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payoff::MatrixPayoff;
 
     fn pennies() -> MatrixGame {
         MatrixGame::from_rows(&[vec![1.0, -1.0], vec![-1.0, 1.0]]).unwrap()
@@ -471,7 +454,7 @@ mod tests {
             rounds: 20_000,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
+        let trace = play(&pennies(), &config).unwrap();
         let last = trace.last();
         assert_eq!(last.round, 20_000);
         assert!(last.ne_gap < 1e-2, "gap {}", last.ne_gap);
@@ -494,7 +477,7 @@ mod tests {
             defender: LearnerKind::FictitiousPlay,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(rps()), &config).unwrap();
+        let trace = play(&rps(), &config).unwrap();
         assert_eq!(trace.attacker, "hedge");
         assert_eq!(trace.defender, "fictitious_play");
         assert!(trace.last().ne_gap < 2e-2, "gap {}", trace.last().ne_gap);
@@ -508,7 +491,7 @@ mod tests {
             defender: LearnerKind::FixedNe,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
+        let trace = play(&pennies(), &config).unwrap();
         assert!(trace.last().ne_gap < 1e-9);
         assert!(trace.last().exploitability < 1e-9);
     }
@@ -524,7 +507,7 @@ mod tests {
             defender: LearnerKind::RegretMatching,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
+        let trace = play(&pennies(), &config).unwrap();
         assert!(
             trace.last().average_value < trace.ne_value - 0.5,
             "adaptive defender should beat a pure attacker: {} vs NE {}",
@@ -541,15 +524,11 @@ mod tests {
             seed: 77,
             ..PlayConfig::default()
         };
-        let a = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
-        let b = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
+        let a = play(&pennies(), &config).unwrap();
+        let b = play(&pennies(), &config).unwrap();
         assert_eq!(a, b, "same seed, same trace");
         assert!(a.last().ne_gap < 0.05, "gap {}", a.last().ne_gap);
-        let other = play(
-            &mut MatrixPayoff::new(pennies()),
-            &PlayConfig { seed: 78, ..config },
-        )
-        .unwrap();
+        let other = play(&pennies(), &PlayConfig { seed: 78, ..config }).unwrap();
         assert_ne!(a, other, "different seed, different sampled trace");
     }
 
@@ -560,7 +539,7 @@ mod tests {
             checkpoint_every: 300,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
+        let trace = play(&pennies(), &config).unwrap();
         let rounds: Vec<usize> = trace.points.iter().map(|p| p.round).collect();
         assert_eq!(rounds, vec![300, 600, 900, 1_000]);
     }
@@ -571,7 +550,7 @@ mod tests {
             rounds: 0,
             ..PlayConfig::default()
         };
-        assert!(play(&mut MatrixPayoff::new(pennies()), &config).is_err());
+        assert!(play(&pennies(), &config).is_err());
     }
 
     #[test]
@@ -584,7 +563,7 @@ mod tests {
             seed: u64::MAX - 3,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(rps()), &config).unwrap();
+        let trace = play(&rps(), &config).unwrap();
         let wire = trace.to_json_string();
         let back = OnlineTrace::from_json(&Json::parse(&wire).unwrap()).unwrap();
         assert_eq!(back, trace);

@@ -77,14 +77,13 @@ pub fn online_csv(trace: &OnlineTrace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payoff::MatrixPayoff;
     use crate::play::{play, PlayConfig};
     use poisongame_theory::MatrixGame;
 
     fn trace() -> OnlineTrace {
         let game = MatrixGame::from_rows(&[vec![1.0, -1.0], vec![-1.0, 1.0]]).unwrap();
         play(
-            &mut MatrixPayoff::new(game),
+            &game,
             &PlayConfig {
                 rounds: 200,
                 checkpoint_every: 100,

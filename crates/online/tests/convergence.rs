@@ -15,7 +15,6 @@ use poisongame_core::algorithm1::Algorithm1;
 use poisongame_core::bridge::{discretized_game, solve_discretized};
 use poisongame_core::paper::paper_game;
 use poisongame_linalg::Xoshiro256StarStar;
-use poisongame_online::payoff::MatrixPayoff;
 use poisongame_online::play::{play, PlayConfig};
 use poisongame_online::LearnerKind;
 use poisongame_theory::{solve_lp, MatrixGame, SolverKind};
@@ -29,7 +28,7 @@ fn random_game(seed: u64, m: usize, n: usize) -> MatrixGame {
 
 fn self_play_value(game: &MatrixGame, kind: LearnerKind, rounds: usize) -> f64 {
     let trace = play(
-        &mut MatrixPayoff::new(game.clone()),
+        game,
         &PlayConfig {
             rounds,
             attacker: kind,
@@ -76,7 +75,7 @@ fn adaptive_play_converges_to_the_algorithm1_equilibrium() {
 
     for kind in [LearnerKind::RegretMatching, LearnerKind::Hedge] {
         let trace = play(
-            &mut MatrixPayoff::new(matrix.clone()),
+            &matrix,
             &PlayConfig {
                 rounds: 50_000,
                 attacker: kind,
@@ -117,7 +116,7 @@ fn fixed_ne_baseline_is_unexploitable_by_adaptive_attackers() {
     let game = paper_game().expect("paper-calibrated game");
     let (_grid, matrix) = discretized_game(&game, 40);
     let trace = play(
-        &mut MatrixPayoff::new(matrix),
+        &matrix,
         &PlayConfig {
             rounds: 20_000,
             attacker: LearnerKind::RegretMatching,

@@ -203,7 +203,7 @@ impl Default for SolveRequest {
 /// Evaluate one attack × defense × learner cell — exactly the batch
 /// pipeline's cell protocol (poison hugging the filter, sanitize,
 /// train, evaluate), so the response is byte-identical to a 1×1×1
-/// [`poisongame_sim::scenario::run_matrix`].
+/// [`poisongame_sim::scenario::run_matrix_with`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRequest {
     /// The experiment configuration (defaults to the paper's — send a

@@ -12,7 +12,8 @@ use poisongame_serve::protocol::CellRequest;
 use poisongame_serve::server::{Server, ServerConfig};
 use poisongame_serve::{ErrorCode, ServeError};
 use poisongame_sim::pipeline::{DataSource, ExperimentConfig};
-use poisongame_sim::scenario::{run_matrix, Scenario};
+use poisongame_sim::scenario::{run_matrix_with, Scenario};
+use poisongame_sim::ExecPolicy;
 use rand::SeedableRng;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -72,9 +73,13 @@ fn served_file_source_matches_local_pipeline() {
         Some(sum),
         Some(64),
     );
-    let expected = run_matrix(&resolved.config, &resolved.as_matrix())
-        .expect("batch")
-        .to_json_string();
+    let expected = run_matrix_with(
+        &resolved.config,
+        &resolved.as_matrix(),
+        &ExecPolicy::default(),
+    )
+    .expect("batch")
+    .to_json_string();
 
     let mut client = Client::connect(addr).expect("connect");
     // The wire request names the *relative* path; the server resolves

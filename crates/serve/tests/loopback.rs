@@ -10,7 +10,8 @@ use poisongame_serve::ErrorCode;
 use poisongame_serve::ServeError;
 use poisongame_sim::jsonio::Json;
 use poisongame_sim::pipeline::{DataSource, ExperimentConfig};
-use poisongame_sim::scenario::{run_matrix, DefenseSpec, LearnerSpec, Scenario};
+use poisongame_sim::scenario::{run_matrix_with, DefenseSpec, LearnerSpec, Scenario};
+use poisongame_sim::ExecPolicy;
 use std::net::SocketAddr;
 
 /// Small-but-real experiment config: the synthetic-Spambase geometry
@@ -62,7 +63,7 @@ fn concurrent_cells_are_byte_identical_to_the_batch_pipeline() {
     let expected: Vec<String> = cells
         .iter()
         .map(|cell| {
-            run_matrix(&cell.config, &cell.as_matrix())
+            run_matrix_with(&cell.config, &cell.as_matrix(), &ExecPolicy::default())
                 .expect("batch matrix")
                 .to_json_string()
         })
@@ -194,14 +195,9 @@ fn online_round_trips_end_to_end_and_matches_local_play() {
     assert_eq!(served, again, "online responses must be deterministic");
 
     // And the served trace is byte-identical to the local pipeline.
-    let engine = poisongame_sim::EvalEngine::new();
-    let local = poisongame_online::run_online(
-        &engine,
-        &request.config,
-        &request.spec,
-        &poisongame_sim::ExecPolicy::sequential(),
-    )
-    .expect("local online run");
+    let engine = poisongame_sim::EvalEngine::with_policy(ExecPolicy::sequential());
+    let local = poisongame_online::run_online(&engine, &request.config, &request.spec)
+        .expect("local online run");
     assert_eq!(
         served.to_json_string(),
         local.trace.to_json_string(),

@@ -11,19 +11,26 @@
 //!   generate/split/scale product by a content hash of
 //!   `(DataSource, seed, test_fraction)` ([`prep_key`]) and memoizes
 //!   it in a [`PrepCache`], so all experiments sharing a source
-//!   prepare exactly once. [`EvalEngine::prepare_batch`] deduplicates
-//!   a whole config list and prepares the distinct keys in parallel
-//!   (via [`crate::exec::prepare_then_map`]'s phase-1 scheduling).
-//! * **Phase 2 (evaluate):** the `*_prepared` entry points of
-//!   [`crate::scenario`], [`crate::fig1`], [`crate::table1`] and
-//!   [`crate::estimate`] fan cells out across the worker pool against
-//!   the shared context.
+//!   prepare exactly once. [`EvalEngine::prepare_shared`] does the
+//!   same by key, for schedulers that dedupe preparations across
+//!   requests.
+//! * **Phase 2 (evaluate):** one `*_prepared` function per experiment
+//!   ([`run_matrix_prepared`], [`run_fig1_prepared`],
+//!   [`estimate_curves_prepared`], [`run_table1_prepared`]) fans cells
+//!   out across the worker pool against the shared context.
+//!
+//! Each experiment has one engine method — [`EvalEngine::run_matrix`],
+//! [`EvalEngine::run_fig1`], [`EvalEngine::estimate_curves`],
+//! [`EvalEngine::run_table1`] — which rejects bad parameters, prepares
+//! through the store and evaluates on the engine's policy. Callers that
+//! prepare themselves (the server, tests) call the phase-2 function.
 //!
 //! Determinism: per-cell SplitMix64 seed derivation is untouched, and
 //! a cached preparation is the *same pure function output* a cold run
 //! computes — caching removes redundant identical computation only, so
-//! engine results are bit-identical to the cold golden path (pinned by
-//! `tests/determinism.rs` and `tests/scenario_compat.rs`).
+//! engine results are bit-identical to a cold `pipeline::prepare`
+//! followed by the phase-2 function (pinned by `tests/determinism.rs`
+//! and `tests/scenario_compat.rs`).
 //!
 //! # Example
 //!
@@ -42,15 +49,14 @@
 //! ```
 
 use crate::error::SimError;
-use crate::estimate::{estimate_curves_prepared, CurveEstimate};
+use crate::estimate::{estimate_curves_prepared, validate_grids, CurveEstimate};
 use crate::exec::ExecPolicy;
-use crate::fig1::{run_fig1_prepared, Fig1Config, Fig1Results};
-use crate::monte_carlo::{simulate_repeated_game_parallel, MonteCarloResults};
+use crate::fig1::{run_fig1_prepared, validate_strengths, Fig1Config, Fig1Results};
 use crate::pipeline::{prepare_data, DataSource, ExperimentConfig, Prepared, PreparedData};
-use crate::scaling::{run_scaling_with, ScalingResults};
-use crate::scenario::{run_matrix_prepared, EngineStats, MatrixResults, ScenarioMatrix};
-use crate::table1::{run_table1_prepared, Table1Results};
-use poisongame_core::{Algorithm1Config, DefenderMixedStrategy, PoisonGame};
+use crate::scenario::{
+    run_matrix_prepared, validate_matrix, EngineStats, MatrixResults, ScenarioMatrix,
+};
+use crate::table1::{run_table1_prepared, validate_support_sizes, Table1Results};
 use poisongame_data::{CacheStats, ContentHash, PrepCache};
 use std::sync::Arc;
 use std::time::Instant;
@@ -265,11 +271,6 @@ impl EvalEngine {
         self.store.len()
     }
 
-    /// Drop every cached preparation (counters are kept).
-    pub fn clear_cache(&self) {
-        self.store.clear();
-    }
-
     /// Phase 1 for one config: the cached generate → split → scale
     /// product, shared by `Arc`, plus the config's own poison budget.
     ///
@@ -299,44 +300,22 @@ impl EvalEngine {
             .get_or_try_insert_with(key.clone(), || key.prepare())
     }
 
-    /// Phase 1 for a batch, scheduled by
-    /// [`crate::exec::prepare_then_map`]: configs' prep keys are
-    /// deduplicated (each key hashed once), each distinct key prepared
-    /// once across the pool, and every config handed an `Arc` of its
-    /// shared data. The dedup happens before the fan-out, so the store
-    /// sees each key from exactly one worker.
-    ///
-    /// # Errors
-    ///
-    /// The first preparation error in first-occurrence key order, then
-    /// any budget-validation failure in config order.
-    pub fn prepare_batch(&self, configs: &[ExperimentConfig]) -> Result<Vec<Prepared>, SimError> {
-        crate::exec::prepare_then_map(
-            &self.policy,
-            configs,
-            config_prep_key,
-            |key| {
-                self.store
-                    .get_or_try_insert_with(key.clone(), || key.prepare())
-            },
-            |_, config, data: &Arc<PreparedData>| Prepared::from_shared(Arc::clone(data), config),
-        )
-    }
-
     /// Run a scenario matrix through the two-phase graph: cached
     /// prepare, then the parallel cell fan-out. Results are
-    /// bit-identical to [`crate::scenario::run_matrix`]; the returned
-    /// [`EngineStats`] additionally reports cache traffic and
-    /// throughput (ignored by equality).
+    /// bit-identical to [`run_matrix_prepared`] on a cold preparation;
+    /// the returned [`EngineStats`] additionally reports cache traffic
+    /// and throughput (ignored by equality).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::scenario::run_matrix_with`].
+    /// Same conditions as [`run_matrix_prepared`]; a bad matrix is
+    /// rejected before preparation.
     pub fn run_matrix(
         &self,
         config: &ExperimentConfig,
         matrix: &ScenarioMatrix,
     ) -> Result<MatrixResults, SimError> {
+        validate_matrix(matrix)?;
         let before = self.store.stats();
         let start = Instant::now();
         let prepared = self.prepare(config)?;
@@ -351,26 +330,30 @@ impl EvalEngine {
         Ok(results)
     }
 
-    /// Run the Figure 1 sweep with cached preparation. Results are
-    /// bit-identical to [`crate::fig1::run_fig1`].
+    /// Run the Figure 1 sweep with cached preparation.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::fig1::run_fig1_with`].
+    /// Same conditions as [`run_fig1_prepared`]; a bad strength grid
+    /// is rejected before preparation.
     pub fn run_fig1(
         &self,
         config: &ExperimentConfig,
         sweep: &Fig1Config,
     ) -> Result<Fig1Results, SimError> {
+        validate_strengths(&sweep.strengths)?;
         let prepared = self.prepare(config)?;
         run_fig1_prepared(&prepared, config, sweep, &self.policy)
     }
 
-    /// Run Table 1 with cached preparation.
+    /// Run Table 1 with cached preparation. `best_pure_accuracy`
+    /// comes from the Figure 1 sweep (pass
+    /// `Fig1Results::best_pure().accuracy_under_attack`).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::table1::run_table1_with`].
+    /// Same conditions as [`run_table1_prepared`]; an empty size list
+    /// is rejected before preparation.
     pub fn run_table1(
         &self,
         config: &ExperimentConfig,
@@ -378,6 +361,7 @@ impl EvalEngine {
         support_sizes: &[usize],
         best_pure_accuracy: f64,
     ) -> Result<Table1Results, SimError> {
+        validate_support_sizes(support_sizes)?;
         let prepared = self.prepare(config)?;
         run_table1_prepared(
             &prepared,
@@ -393,56 +377,17 @@ impl EvalEngine {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::estimate::estimate_curves`].
+    /// Same conditions as [`estimate_curves_prepared`]; a bad grid is
+    /// rejected before preparation.
     pub fn estimate_curves(
         &self,
         config: &ExperimentConfig,
         placements: &[f64],
         strengths: &[f64],
     ) -> Result<CurveEstimate, SimError> {
+        validate_grids(placements, strengths)?;
         let prepared = self.prepare(config)?;
         estimate_curves_prepared(&prepared, config, placements, strengths)
-    }
-
-    /// Run the §5 scaling experiment on the engine's policy (no
-    /// dataset preparation involved — routed here so one engine drives
-    /// every experiment).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::scaling::run_scaling_with`].
-    pub fn run_scaling(
-        &self,
-        curves: &CurveEstimate,
-        support_sizes: &[usize],
-        base: &Algorithm1Config,
-    ) -> Result<ScalingResults, SimError> {
-        run_scaling_with(curves, support_sizes, base, &self.policy)
-    }
-
-    /// Run the Monte-Carlo repeated-game simulation on the engine's
-    /// policy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`crate::monte_carlo::simulate_repeated_game_parallel`].
-    pub fn simulate_repeated_game(
-        &self,
-        game: &PoisonGame,
-        strategy: &DefenderMixedStrategy,
-        rounds_per_replicate: usize,
-        replicates: usize,
-        master_seed: u64,
-    ) -> Result<MonteCarloResults, SimError> {
-        simulate_repeated_game_parallel(
-            game,
-            strategy,
-            rounds_per_replicate,
-            replicates,
-            master_seed,
-            &self.policy,
-        )
     }
 }
 
@@ -533,30 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn prepare_batch_prepares_once_per_distinct_key() {
-        let engine = EvalEngine::new();
-        // Four configs over two distinct (source, seed, fraction) keys.
-        let configs = vec![
-            quick_config(1),
-            quick_config(2),
-            ExperimentConfig {
-                budget_fraction: 0.1,
-                ..quick_config(1)
-            },
-            quick_config(2),
-        ];
-        let prepared = engine.prepare_batch(&configs).unwrap();
-        assert_eq!(prepared.len(), 4);
-        assert_eq!(engine.cached_preparations(), 2);
-        assert_eq!(engine.cache_stats().misses, 2);
-        assert!(Arc::ptr_eq(&prepared[0].data, &prepared[2].data));
-        assert!(Arc::ptr_eq(&prepared[1].data, &prepared[3].data));
-        assert!(!Arc::ptr_eq(&prepared[0].data, &prepared[1].data));
-        // Budgets follow the configs, not the shared data.
-        assert_ne!(prepared[0].n_poison, prepared[2].n_poison);
-    }
-
-    #[test]
     fn engine_matrix_matches_cold_path_and_reports_stats() {
         let config = quick_config(7);
         let matrix = ScenarioMatrix::default();
@@ -576,13 +497,49 @@ mod tests {
     }
 
     #[test]
+    fn paper_chain_shares_one_preparation() {
+        // Fig. 1 → E/Γ estimate → Table 1 on one engine: the dataset is
+        // prepared by the first call and answered from the store after.
+        let engine = EvalEngine::with_policy(ExecPolicy::sequential());
+        let config = quick_config(13);
+        let sweep = Fig1Config {
+            strengths: vec![0.0, 0.2],
+            placement_slack: 0.01,
+        };
+        let fig1 = engine.run_fig1(&config, &sweep).unwrap();
+        let curves = engine
+            .estimate_curves(&config, &[0.05, 0.2], &[0.0, 0.2])
+            .unwrap();
+        let best_pure = fig1.best_pure().accuracy_under_attack;
+        let table1 = engine
+            .run_table1(&config, &curves, &[2], best_pure)
+            .unwrap();
+        assert_eq!(table1.rows.len(), 1);
+        assert_eq!(table1.best_pure_accuracy, best_pure);
+        assert_eq!(
+            engine.cache_stats(),
+            CacheStats {
+                hits: 2,
+                misses: 1,
+                evictions: 0
+            }
+        );
+        // Every experiment measures the same clean baseline.
+        assert_eq!(
+            fig1.baseline_accuracy.to_bits(),
+            curves.baseline_accuracy.to_bits()
+        );
+    }
+
+    #[test]
     fn engine_fig1_is_bit_identical_to_cold_path() {
         let config = quick_config(9);
         let sweep = Fig1Config {
             strengths: vec![0.0, 0.1, 0.2],
             placement_slack: 0.01,
         };
-        let cold = crate::fig1::run_fig1(&config, &sweep).unwrap();
+        let prepared = crate::pipeline::prepare(&config).unwrap();
+        let cold = run_fig1_prepared(&prepared, &config, &sweep, &ExecPolicy::default()).unwrap();
         let engine = EvalEngine::new();
         let cached = engine.run_fig1(&config, &sweep).unwrap();
         assert_eq!(cold, cached, "cache must not change results");
@@ -616,16 +573,5 @@ mod tests {
         assert!(Arc::ptr_eq(&by_key, &by_config.data));
         assert_eq!(engine.cache_stats().misses, 1);
         assert_eq!(engine.cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn clear_cache_forces_reprepare() {
-        let engine = EvalEngine::new();
-        let config = quick_config(11);
-        engine.prepare(&config).unwrap();
-        engine.clear_cache();
-        assert_eq!(engine.cached_preparations(), 0);
-        engine.prepare(&config).unwrap();
-        assert_eq!(engine.cache_stats().misses, 2);
     }
 }

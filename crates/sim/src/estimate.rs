@@ -12,9 +12,7 @@
 use crate::error::SimError;
 use crate::fig1::Fig1Results;
 use crate::jsonio::{self, Json};
-use crate::pipeline::{
-    attack_filter_train_eval, filter_train_eval, prepare, ExperimentConfig, Prepared,
-};
+use crate::pipeline::{filter_train_eval, prepare, run_cell, ExperimentConfig, Prepared};
 use poisongame_core::{CostCurve, EffectCurve, PoisonGame};
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
@@ -136,43 +134,55 @@ pub fn cost_curve_from_fig1(fig1: &Fig1Results) -> Result<CostCurve, SimError> {
     Ok(CostCurve::from_samples(&samples)?)
 }
 
-/// Run the placement sweep and fit both curves.
+/// Run the placement sweep and fit both curves on a fresh preparation.
 ///
 /// `placements` are attack positions for the `E(p)` sweep;
-/// `strengths` are filter strengths for the `Γ(p)` sweep.
+/// `strengths` are filter strengths for the `Γ(p)` sweep. This is the
+/// cold form of [`crate::engine::EvalEngine::estimate_curves`], kept
+/// as the in-process reference the benchmark compares served
+/// estimates against.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::BadParameter`] for empty grids and propagates
-/// pipeline failures.
+/// Returns [`SimError::BadParameter`] for an empty or out-of-range
+/// grid and propagates pipeline failures.
 pub fn estimate_curves(
     config: &ExperimentConfig,
     placements: &[f64],
     strengths: &[f64],
 ) -> Result<CurveEstimate, SimError> {
-    // Reject empty grids before paying for dataset preparation.
+    // Reject a bad grid before paying for dataset preparation.
     validate_grids(placements, strengths)?;
     let prepared = prepare(config)?;
     estimate_curves_prepared(&prepared, config, placements, strengths)
 }
 
-fn validate_grids(placements: &[f64], strengths: &[f64]) -> Result<(), SimError> {
+/// Reject an empty grid, then an out-of-range placement, then an
+/// out-of-range strength — all before any preparation or fit.
+pub(crate) fn validate_grids(placements: &[f64], strengths: &[f64]) -> Result<(), SimError> {
     if placements.is_empty() || strengths.is_empty() {
         return Err(SimError::BadParameter {
             what: "grids",
             value: 0.0,
         });
     }
+    let axes = [("placement", placements), ("strength", strengths)];
+    for (what, grid) in axes {
+        if let Some(&value) = grid.iter().find(|v| !(0.0..1.0).contains(*v)) {
+            return Err(SimError::BadParameter { what, value });
+        }
+    }
     Ok(())
 }
 
 /// [`estimate_curves`] against an already-prepared dataset — the
-/// evaluate phase of the engine's prepare → evaluate task graph.
+/// evaluate phase of [`crate::engine::EvalEngine::estimate_curves`]
+/// and of the served `estimate` request.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::BadParameter`] for empty grids and propagates
-/// pipeline failures.
+/// Returns [`SimError::BadParameter`] for an empty or out-of-range
+/// grid and propagates pipeline failures.
 pub fn estimate_curves_prepared(
     prepared: &Prepared,
     config: &ExperimentConfig,
@@ -185,21 +195,17 @@ pub fn estimate_curves_prepared(
         &[],
         prepared.test(),
         FilterStrength::RemoveFraction(0.0),
+        &config.scenario,
         config,
     )?;
 
     // E(p): unfiltered damage per poison point at each placement.
     let mut effect_samples = Vec::with_capacity(placements.len());
     for &p in placements {
-        if !(0.0..1.0).contains(&p) || p.is_nan() {
-            return Err(SimError::BadParameter {
-                what: "placement",
-                value: p,
-            });
-        }
         let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed ^ p.to_bits().rotate_left(29));
-        let attacked = attack_filter_train_eval(
+        let attacked = run_cell(
             prepared,
+            &config.scenario,
             p,
             FilterStrength::RemoveFraction(0.0),
             config,
@@ -212,17 +218,12 @@ pub fn estimate_curves_prepared(
     // Γ(p): clean accuracy loss at each strength.
     let mut cost_samples = Vec::with_capacity(strengths.len());
     for &s in strengths {
-        if !(0.0..1.0).contains(&s) || s.is_nan() {
-            return Err(SimError::BadParameter {
-                what: "strength",
-                value: s,
-            });
-        }
         let clean = filter_train_eval(
             prepared.train(),
             &[],
             prepared.test(),
             FilterStrength::RemoveFraction(s),
+            &config.scenario,
             config,
         )?;
         cost_samples.push((s, (baseline.accuracy - clean.accuracy).max(0.0)));
@@ -321,6 +322,53 @@ mod tests {
         assert!(estimate_curves(&quick_config(), &[], &[0.1]).is_err());
         assert!(estimate_curves(&quick_config(), &[0.1], &[]).is_err());
         assert!(estimate_curves(&quick_config(), &[1.5], &[0.1]).is_err());
+    }
+
+    /// Range checks run before any cell: a strength out of range is
+    /// reported even when the scenario's attack would fail first in
+    /// the placement sweep, and no preparation is paid for.
+    #[test]
+    fn out_of_range_grid_is_rejected_before_any_cell() {
+        use crate::engine::EvalEngine;
+        use crate::scenario::AttackSpec;
+        let config = ExperimentConfig {
+            scenario: Scenario {
+                attack: AttackSpec::MixedRadius {
+                    offsets: vec![0.0, 0.1],
+                    weights: vec![1.0],
+                },
+                ..Scenario::default()
+            },
+            ..quick_config()
+        };
+        let expect_strength = |result: Result<CurveEstimate, SimError>| match result {
+            Err(SimError::BadParameter { what, value }) => {
+                assert_eq!((what, value), ("strength", 1.5));
+            }
+            other => panic!("expected the strength range error, got {other:?}"),
+        };
+        let engine = EvalEngine::new();
+        expect_strength(engine.estimate_curves(&config, &[0.05, 0.2], &[0.0, 1.5]));
+        assert_eq!(
+            engine.cache_stats().misses,
+            0,
+            "a bad grid must not prepare"
+        );
+        let prepared = prepare(&config).unwrap();
+        expect_strength(estimate_curves_prepared(
+            &prepared,
+            &config,
+            &[0.05, 0.2],
+            &[0.0, 1.5],
+        ));
+        // Placements are checked before strengths.
+        assert!(matches!(
+            estimate_curves(&config, &[f64::NAN], &[1.5]),
+            Err(SimError::BadParameter {
+                what: "placement",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -8,10 +8,7 @@
 
 use crate::error::SimError;
 use crate::exec::{try_parallel_map, ExecPolicy};
-use crate::pipeline::{
-    attack_filter_train_eval, filter_train_eval, hugging_placement, prepare, ExperimentConfig,
-    Prepared,
-};
+use crate::pipeline::{filter_train_eval, hugging_placement, run_cell, ExperimentConfig, Prepared};
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
 use rand::SeedableRng;
@@ -81,38 +78,8 @@ impl Fig1Results {
     }
 }
 
-/// Run the Figure 1 sweep on the default (fully parallel) execution
-/// policy.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] for an empty or out-of-range
-/// strength grid and propagates pipeline failures.
-pub fn run_fig1(config: &ExperimentConfig, sweep: &Fig1Config) -> Result<Fig1Results, SimError> {
-    run_fig1_with(config, sweep, &ExecPolicy::default())
-}
-
-/// Run the Figure 1 sweep with an explicit execution policy.
-///
-/// Every sweep point derives its attack RNG from the master seed
-/// alone, so the results are bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] for an empty or out-of-range
-/// strength grid and propagates pipeline failures.
-pub fn run_fig1_with(
-    config: &ExperimentConfig,
-    sweep: &Fig1Config,
-    policy: &ExecPolicy,
-) -> Result<Fig1Results, SimError> {
-    // Reject a bad grid before paying for dataset preparation.
-    validate_strengths(&sweep.strengths)?;
-    let prepared = prepare(config)?;
-    run_fig1_prepared(&prepared, config, sweep, policy)
-}
-
-fn validate_strengths(strengths: &[f64]) -> Result<(), SimError> {
+/// Reject an empty or out-of-range strength grid.
+pub(crate) fn validate_strengths(strengths: &[f64]) -> Result<(), SimError> {
     if strengths.is_empty() {
         return Err(SimError::BadParameter {
             what: "strengths",
@@ -136,8 +103,11 @@ fn point_rng(config: &ExperimentConfig, theta: f64) -> Xoshiro256StarStar {
     Xoshiro256StarStar::seed_from_u64(config.seed ^ (theta.to_bits().rotate_left(17)))
 }
 
-/// [`run_fig1_with`] against an already-prepared dataset — the
-/// evaluate phase of the engine's prepare → evaluate task graph.
+/// Run the Figure 1 sweep against an already-prepared dataset — the
+/// evaluate phase of [`crate::engine::EvalEngine::run_fig1`].
+///
+/// Every sweep point derives its attack RNG from the master seed
+/// alone, so the results are bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -155,6 +125,7 @@ pub fn run_fig1_prepared(
         &[],
         prepared.test(),
         FilterStrength::RemoveFraction(0.0),
+        &config.scenario,
         config,
     )?;
 
@@ -164,8 +135,9 @@ pub fn run_fig1_prepared(
         |_, &theta| -> Result<Fig1Row, SimError> {
             let mut rng = point_rng(config, theta);
             let placement = hugging_placement(prepared, theta, sweep.placement_slack);
-            let attacked = attack_filter_train_eval(
+            let attacked = run_cell(
                 prepared,
+                &config.scenario,
                 placement,
                 FilterStrength::RemoveFraction(theta),
                 config,
@@ -176,6 +148,7 @@ pub fn run_fig1_prepared(
                 &[],
                 prepared.test(),
                 FilterStrength::RemoveFraction(theta),
+                &config.scenario,
                 config,
             )?;
             Ok(Fig1Row {
@@ -197,6 +170,7 @@ pub fn run_fig1_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EvalEngine;
     use crate::pipeline::DataSource;
     use crate::scenario::Scenario;
     use poisongame_core::SolverKind;
@@ -225,7 +199,9 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_row_per_strength() {
-        let r = run_fig1(&quick_config(), &quick_sweep()).unwrap();
+        let r = EvalEngine::new()
+            .run_fig1(&quick_config(), &quick_sweep())
+            .unwrap();
         assert_eq!(r.rows.len(), 4);
         assert!(r.baseline_accuracy > 0.75);
         assert!(r.n_poison > 0);
@@ -233,7 +209,9 @@ mod tests {
 
     #[test]
     fn unfiltered_attack_is_worst_point() {
-        let r = run_fig1(&quick_config(), &quick_sweep()).unwrap();
+        let r = EvalEngine::new()
+            .run_fig1(&quick_config(), &quick_sweep())
+            .unwrap();
         let at_zero = &r.rows[0];
         // With no filter the full budget survives: accuracy under
         // attack must be clearly below the clean baseline.
@@ -252,7 +230,9 @@ mod tests {
 
     #[test]
     fn clean_accuracy_degrades_with_filter_strength() {
-        let r = run_fig1(&quick_config(), &quick_sweep()).unwrap();
+        let r = EvalEngine::new()
+            .run_fig1(&quick_config(), &quick_sweep())
+            .unwrap();
         // "applying the filter reduces the accuracy of the ML model,
         // regardless of the presence of the attack" — allow small noise
         // but the strongest filter must cost accuracy vs no filter.
@@ -263,22 +243,32 @@ mod tests {
 
     #[test]
     fn parameter_validation() {
-        let bad = Fig1Config {
-            strengths: vec![],
-            placement_slack: 0.01,
-        };
-        assert!(run_fig1(&quick_config(), &bad).is_err());
-        let bad = Fig1Config {
-            strengths: vec![1.2],
-            placement_slack: 0.01,
-        };
-        assert!(run_fig1(&quick_config(), &bad).is_err());
+        let engine = EvalEngine::new();
+        for strengths in [vec![], vec![1.2], vec![0.1, f64::NAN]] {
+            let bad = Fig1Config {
+                strengths,
+                placement_slack: 0.01,
+            };
+            assert!(matches!(
+                engine.run_fig1(&quick_config(), &bad),
+                Err(SimError::BadParameter { .. })
+            ));
+        }
+        assert_eq!(
+            engine.cache_stats().misses,
+            0,
+            "a bad grid must not prepare"
+        );
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = run_fig1(&quick_config(), &quick_sweep()).unwrap();
-        let b = run_fig1(&quick_config(), &quick_sweep()).unwrap();
+        let a = EvalEngine::new()
+            .run_fig1(&quick_config(), &quick_sweep())
+            .unwrap();
+        let b = EvalEngine::new()
+            .run_fig1(&quick_config(), &quick_sweep())
+            .unwrap();
         assert_eq!(a, b);
     }
 }

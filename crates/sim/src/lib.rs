@@ -27,10 +27,12 @@
 //! * [`exec`] — the parallel sweep engine: scoped worker pool with
 //!   per-cell seeds, bit-identical to sequential at any thread count,
 //!   plus the two-phase `prepare_then_map` task graph.
-//! * [`engine`] — the shared-preparation evaluation engine: dataset
-//!   preparations keyed by content hash and shared (`Arc`) across
-//!   every experiment, and copy-on-write poisoned views instead of
-//!   per-cell clones.
+//! * [`engine`] — the shared-preparation evaluation engine and the
+//!   front door of every experiment: one [`EvalEngine`] method per
+//!   experiment (matrix, Figure 1, curve estimate, Table 1) prepares
+//!   through a content-keyed cache shared (`Arc`) across experiments,
+//!   then runs that experiment's `*_prepared` phase on the engine's
+//!   execution policy.
 //! * [`jsonio`] — the minimal JSON reader/writer scenario specs
 //!   serialize through (the `serde` dependency is an offline shim).
 //! * [`report`] — ASCII tables and CSV output.
@@ -42,15 +44,17 @@
 //!
 //! ```no_run
 //! use poisongame_sim::pipeline::ExperimentConfig;
-//! use poisongame_sim::scenario::{run_matrix, ScenarioMatrix};
+//! use poisongame_sim::scenario::ScenarioMatrix;
+//! use poisongame_sim::EvalEngine;
 //!
+//! let engine = EvalEngine::new();
 //! let config = ExperimentConfig::paper().quick();
 //! let matrix = ScenarioMatrix::from_json_str(
 //!     r#"{"attacks":  [{"type": "boundary"}, {"type": "label_flip"}],
 //!         "defenses": [{"type": "radius"}, {"type": "knn", "k": 5}],
 //!         "learners": [{"type": "svm"}]}"#,
 //! ).unwrap();
-//! let results = run_matrix(&config, &matrix).unwrap();
+//! let results = engine.run_matrix(&config, &matrix).unwrap();
 //! for cell in results.ranked() {
 //!     println!("{}: {:.4}", cell.scenario.label(), cell.outcome.accuracy);
 //! }
@@ -61,10 +65,12 @@
 //!
 //! ```no_run
 //! use poisongame_sim::pipeline::{DataSource, ExperimentConfig};
-//! use poisongame_sim::fig1::{run_fig1, Fig1Config};
+//! use poisongame_sim::fig1::Fig1Config;
+//! use poisongame_sim::EvalEngine;
 //!
+//! let engine = EvalEngine::new();
 //! let config = ExperimentConfig::paper().quick();
-//! let results = run_fig1(&config, &Fig1Config::default()).unwrap();
+//! let results = engine.run_fig1(&config, &Fig1Config::default()).unwrap();
 //! for row in &results.rows {
 //!     println!("{:.0}% removed: attacked {:.3}, clean {:.3}",
 //!         row.removed_fraction * 100.0, row.accuracy_under_attack, row.accuracy_clean);

@@ -28,30 +28,6 @@ pub struct MonteCarloResults {
     pub rounds: usize,
 }
 
-/// Simulate `rounds` plays of the game: each round the defender samples
-/// a strength from `strategy`, and every candidate placement's payoff
-/// (`N·E(p)` if it survives, else 0) is recorded.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] if `rounds == 0`.
-pub fn simulate_repeated_game(
-    game: &PoisonGame,
-    strategy: &DefenderMixedStrategy,
-    rounds: usize,
-    rng: &mut Xoshiro256StarStar,
-) -> Result<MonteCarloResults, SimError> {
-    if rounds == 0 {
-        return Err(SimError::BadParameter {
-            what: "rounds",
-            value: 0.0,
-        });
-    }
-    let candidates: Vec<f64> = strategy.support().to_vec();
-    let partial = play_rounds(game, strategy, &candidates, rounds, rng);
-    finish(&candidates, partial, rounds)
-}
-
 /// Per-candidate payoff sums and the defender-loss sum over a block of
 /// rounds — the mergeable unit of the Monte-Carlo simulation.
 struct Partial {
@@ -121,17 +97,21 @@ fn finish(
     })
 }
 
-/// Parallel repeated-game simulation: `replicates` independent blocks
-/// of `rounds_per_replicate` rounds, each with its own RNG derived
-/// from `master_seed` via SplitMix64, fanned out across the worker
-/// pool and merged in replicate order. Bit-identical at any thread
-/// count (including [`ExecPolicy::sequential`]).
+/// Simulate `rounds_per_replicate × replicates` plays of the game:
+/// each round the defender samples a strength from `strategy`, and
+/// every candidate placement's payoff (`N·E(p)` if it survives, else
+/// 0) is recorded.
+///
+/// The rounds run as `replicates` independent blocks, each with its
+/// own RNG derived from `master_seed` via SplitMix64, fanned out
+/// across the worker pool and merged in replicate order. Bit-identical
+/// at any thread count (including [`ExecPolicy::sequential`]).
 ///
 /// # Errors
 ///
 /// Returns [`SimError::BadParameter`] if `rounds_per_replicate` or
 /// `replicates` is zero.
-pub fn simulate_repeated_game_parallel(
+pub fn simulate_repeated_game(
     game: &PoisonGame,
     strategy: &DefenderMixedStrategy,
     rounds_per_replicate: usize,
@@ -183,7 +163,6 @@ mod tests {
     use super::*;
     use poisongame_core::ne::equalizing_strategy;
     use poisongame_core::{CostCurve, EffectCurve};
-    use rand::SeedableRng;
 
     fn game() -> PoisonGame {
         let effect = EffectCurve::from_samples(&[
@@ -201,8 +180,8 @@ mod tests {
     fn equalizing_strategy_is_empirically_indifferent() {
         let g = game();
         let strategy = equalizing_strategy(&[0.05, 0.15, 0.30], g.effect()).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(31);
-        let mc = simulate_repeated_game(&g, &strategy, 200_000, &mut rng).unwrap();
+        let mc =
+            simulate_repeated_game(&g, &strategy, 25_000, 8, 31, &ExecPolicy::default()).unwrap();
         assert!(
             mc.payoff_spread < 0.02,
             "payoffs not indifferent: {:?} (spread {})",
@@ -216,8 +195,8 @@ mod tests {
         let g = game();
         // Uniform probabilities are not equalizing for this curve.
         let strategy = DefenderMixedStrategy::new(vec![0.05, 0.30], vec![0.5, 0.5]).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(32);
-        let mc = simulate_repeated_game(&g, &strategy, 100_000, &mut rng).unwrap();
+        let mc =
+            simulate_repeated_game(&g, &strategy, 12_500, 8, 32, &ExecPolicy::default()).unwrap();
         assert!(
             mc.payoff_spread > 0.1,
             "expected visible spread, got {}",
@@ -229,8 +208,8 @@ mod tests {
     fn empirical_matches_analytic_payoff() {
         let g = game();
         let strategy = equalizing_strategy(&[0.05, 0.25], g.effect()).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(33);
-        let mc = simulate_repeated_game(&g, &strategy, 300_000, &mut rng).unwrap();
+        let mc =
+            simulate_repeated_game(&g, &strategy, 37_500, 8, 33, &ExecPolicy::default()).unwrap();
         let analytic = g.n_points() as f64 * strategy.attacker_gain(g.effect());
         for &(p, emp) in &mc.candidate_payoffs {
             assert!(
@@ -241,14 +220,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_replicates_are_thread_count_invariant() {
+    fn one_replicate_is_one_block_on_the_first_derived_seed() {
+        let g = game();
+        let strategy = equalizing_strategy(&[0.05, 0.15, 0.30], g.effect()).unwrap();
+        let mc =
+            simulate_repeated_game(&g, &strategy, 1_000, 1, 77, &ExecPolicy::sequential()).unwrap();
+        let seed = SplitMix64::new(77).next();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let candidates = strategy.support().to_vec();
+        let block = play_rounds(&g, &strategy, &candidates, 1_000, &mut rng);
+        let expected = finish(&candidates, block, 1_000).unwrap();
+        assert_eq!(format!("{mc:?}"), format!("{expected:?}"));
+    }
+
+    #[test]
+    fn replicates_are_thread_count_invariant() {
         let g = game();
         let strategy = equalizing_strategy(&[0.05, 0.15, 0.30], g.effect()).unwrap();
         let reference =
-            simulate_repeated_game_parallel(&g, &strategy, 5_000, 8, 91, &ExecPolicy::sequential())
-                .unwrap();
+            simulate_repeated_game(&g, &strategy, 5_000, 8, 91, &ExecPolicy::sequential()).unwrap();
         for threads in [2, 8] {
-            let parallel = simulate_repeated_game_parallel(
+            let parallel = simulate_repeated_game(
                 &g,
                 &strategy,
                 5_000,
@@ -265,19 +257,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rejects_zero_blocks() {
-        let g = game();
-        let strategy = DefenderMixedStrategy::pure(0.1).unwrap();
-        let policy = ExecPolicy::default();
-        assert!(simulate_repeated_game_parallel(&g, &strategy, 0, 4, 1, &policy).is_err());
-        assert!(simulate_repeated_game_parallel(&g, &strategy, 10, 0, 1, &policy).is_err());
-    }
-
-    #[test]
     fn zero_rounds_rejected() {
         let g = game();
         let strategy = DefenderMixedStrategy::pure(0.1).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(34);
-        assert!(simulate_repeated_game(&g, &strategy, 0, &mut rng).is_err());
+        let policy = ExecPolicy::default();
+        for (rounds, replicates, what) in [(0, 4, "rounds_per_replicate"), (10, 0, "replicates")] {
+            assert!(matches!(
+                simulate_repeated_game(&g, &strategy, rounds, replicates, 1, &policy),
+                Err(SimError::BadParameter { what: w, .. }) if w == what
+            ));
+        }
     }
 }

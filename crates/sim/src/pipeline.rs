@@ -769,47 +769,23 @@ impl EvalOutcome {
     }
 }
 
-/// Filter a (possibly poisoned) training set, train the configured
-/// learner on the survivors and evaluate on the held-out split — all
-/// dispatched through the scenario on `config` (the paper's radius
-/// filter + linear SVM by default).
+/// Filter a (possibly poisoned) training set, train the scenario's
+/// learner on the survivors and evaluate on the held-out split. This
+/// is the one place a cell is trained and scored: the learner is
+/// fitted cold on the filter's survivors, and its linear state is
+/// scored through [`batched_accuracy`], whose single-state product
+/// accumulates each margin in the same order as the per-point
+/// `accuracy_on` (bit-identical). A learner with no linear state falls
+/// back to `accuracy_on`.
 ///
 /// `poison_indices` is the experiment's ground truth for accounting;
-/// pass `&[]` for clean runs.
+/// pass `&[]` for clean runs. Experiments pass `&config.scenario`;
+/// matrix cells pass their own triple.
 ///
 /// # Errors
 ///
 /// Propagates spec-building, filtering and training failures.
 pub fn filter_train_eval(
-    train: &dyn DataView,
-    poison_indices: &[usize],
-    test: &Dataset,
-    strength: FilterStrength,
-    config: &ExperimentConfig,
-) -> Result<EvalOutcome, SimError> {
-    filter_train_eval_scenario(
-        train,
-        poison_indices,
-        test,
-        strength,
-        &config.scenario,
-        config,
-    )
-}
-
-/// [`filter_train_eval`] against an explicit scenario (matrix cells
-/// carry their own triple, independent of `config.scenario`). This is
-/// the one place a cell is trained and scored: the learner is fitted
-/// cold on the filter's survivors, and its linear state is scored
-/// through [`batched_accuracy`], whose single-state product
-/// accumulates each margin in the same order as the per-point
-/// `accuracy_on` (bit-identical). A learner with no linear state falls
-/// back to `accuracy_on`.
-///
-/// # Errors
-///
-/// Propagates spec-building, filtering and training failures.
-pub fn filter_train_eval_scenario(
     train: &dyn DataView,
     poison_indices: &[usize],
     test: &Dataset,
@@ -852,24 +828,6 @@ pub fn hugging_placement(prepared: &Prepared, theta: f64, slack: f64) -> f64 {
     (theta * (n + m) / n + slack).min(0.95)
 }
 
-/// Poison the clean training set with the configured attack at
-/// `placement` (removal-percentile axis), then filter/train/evaluate —
-/// dispatched through the scenario on `config` (the paper's boundary
-/// attack by default).
-///
-/// # Errors
-///
-/// Propagates attack, filtering and training failures.
-pub fn attack_filter_train_eval(
-    prepared: &Prepared,
-    placement: f64,
-    strength: FilterStrength,
-    config: &ExperimentConfig,
-    rng: &mut Xoshiro256StarStar,
-) -> Result<EvalOutcome, SimError> {
-    run_cell(prepared, &config.scenario, placement, strength, config, rng)
-}
-
 /// The single dispatch point every experiment cell goes through:
 /// build the scenario's attack at `placement`, poison the training
 /// set, then sanitize / train / evaluate with the scenario's defense
@@ -894,7 +852,7 @@ pub fn run_cell(
     let poison = attack.generate(prepared.train(), prepared.n_poison, rng)?;
     let poisoned = PoisonedView::new(prepared.train(), poison)?;
     let injected: Vec<usize> = poisoned.appended_indices().collect();
-    filter_train_eval_scenario(
+    filter_train_eval(
         &poisoned,
         &injected,
         prepared.test(),
@@ -982,6 +940,7 @@ mod tests {
             &[],
             p.test(),
             FilterStrength::RemoveFraction(0.0),
+            &config.scenario,
             &config,
         )
         .unwrap();
@@ -999,11 +958,13 @@ mod tests {
             &[],
             p.test(),
             FilterStrength::RemoveFraction(0.0),
+            &config.scenario,
             &config,
         )
         .unwrap();
-        let attacked = attack_filter_train_eval(
+        let attacked = run_cell(
             &p,
+            &config.scenario,
             0.02,
             FilterStrength::RemoveFraction(0.0),
             &config,
@@ -1026,8 +987,9 @@ mod tests {
         // Attack right at the boundary; a 30 % filter removes far more
         // points than the poison budget plus genuine tail — the poison
         // dies and accuracy recovers most of the damage.
-        let unfiltered = attack_filter_train_eval(
+        let unfiltered = run_cell(
             &p,
+            &config.scenario,
             0.01,
             FilterStrength::RemoveFraction(0.0),
             &config,
@@ -1035,8 +997,9 @@ mod tests {
         )
         .unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(13);
-        let filtered = attack_filter_train_eval(
+        let filtered = run_cell(
             &p,
+            &config.scenario,
             0.01,
             FilterStrength::RemoveFraction(0.30),
             &config,
@@ -1062,8 +1025,9 @@ mod tests {
         let p = prepare(&config).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(17);
         // Attack deep (30th percentile), filter only removes 5 %.
-        let out = attack_filter_train_eval(
+        let out = run_cell(
             &p,
+            &config.scenario,
             0.30,
             FilterStrength::RemoveFraction(0.05),
             &config,
@@ -1093,8 +1057,7 @@ mod tests {
                 ..Scenario::default()
             };
             let out =
-                filter_train_eval_scenario(p.train(), &[], p.test(), strength, &scenario, &config)
-                    .unwrap();
+                filter_train_eval(p.train(), &[], p.test(), strength, &scenario, &config).unwrap();
 
             let filter = scenario.defense.build(strength, config.centroid).unwrap();
             let split = filter.split(p.train()).unwrap();
@@ -1109,6 +1072,43 @@ mod tests {
             );
             assert_eq!(out.removed_fraction, split.removed_fraction(p.train()));
         }
+    }
+
+    #[test]
+    fn filter_train_eval_scores_the_scenario_it_is_given() {
+        use crate::scenario::LearnerSpec;
+        let config = quick_spam_config();
+        let p = prepare(&config).unwrap();
+        let strength = FilterStrength::RemoveFraction(0.1);
+        let logreg = Scenario {
+            learner: LearnerSpec::LogReg,
+            ..Scenario::default()
+        };
+        // `config.scenario` is the paper's SVM; the explicit scenario
+        // wins.
+        let given =
+            filter_train_eval(p.train(), &[], p.test(), strength, &logreg, &config).unwrap();
+        let relabeled = ExperimentConfig {
+            scenario: logreg.clone(),
+            ..config.clone()
+        };
+        let own =
+            filter_train_eval(p.train(), &[], p.test(), strength, &logreg, &relabeled).unwrap();
+        assert_eq!(given.accuracy.to_bits(), own.accuracy.to_bits());
+        let svm = filter_train_eval(
+            p.train(),
+            &[],
+            p.test(),
+            strength,
+            &config.scenario,
+            &config,
+        )
+        .unwrap();
+        assert_ne!(
+            given.accuracy.to_bits(),
+            svm.accuracy.to_bits(),
+            "the learner must follow the scenario argument"
+        );
     }
 
     #[test]
@@ -1127,8 +1127,7 @@ mod tests {
         let injected: Vec<usize> = poisoned.appended_indices().collect();
         assert_eq!(injected.len(), p.n_poison);
         let expected =
-            filter_train_eval_scenario(&poisoned, &injected, p.test(), strength, scenario, &config)
-                .unwrap();
+            filter_train_eval(&poisoned, &injected, p.test(), strength, scenario, &config).unwrap();
         assert_eq!(out.accuracy.to_bits(), expected.accuracy.to_bits());
         assert_eq!(out.accounting, expected.accounting);
         assert_eq!(out.removed_fraction, expected.removed_fraction);

@@ -50,43 +50,20 @@ impl ScalingResults {
 
 /// Solve Algorithm 1 for each support size and record quality + cost.
 ///
-/// Runs sequentially: this experiment's point is the per-cell
-/// `solve_micros` wall-clock, and concurrent cells would contend for
-/// cores and distort it. Use [`run_scaling_with`] to trade timing
-/// fidelity for throughput.
+/// `base` is the Algorithm 1 template (its `n_radii` is overridden per
+/// cell — pass `ExperimentConfig::algorithm1_config(0)` to inherit an
+/// experiment's solver / warm-start knobs). Support sizes fan out
+/// across `policy`'s worker pool; all fields except the wall-clock
+/// `solve_micros` are bit-identical at any thread count. This
+/// experiment's point is the per-cell timing, and concurrent cells
+/// contend for cores and distort it, so pass
+/// [`ExecPolicy::sequential`] when the timings are the measurement.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::BadParameter`] for an empty size list and
 /// propagates solver failures.
 pub fn run_scaling(
-    curves: &CurveEstimate,
-    support_sizes: &[usize],
-) -> Result<ScalingResults, SimError> {
-    run_scaling_with(
-        curves,
-        support_sizes,
-        &Algorithm1Config::default(),
-        &ExecPolicy::sequential(),
-    )
-}
-
-/// [`run_scaling`] with an explicit Algorithm 1 template (its
-/// `n_radii` is overridden per cell — pass
-/// `ExperimentConfig::algorithm1_config(0)` to inherit an
-/// experiment's solver / warm-start knobs) and execution policy.
-/// Support sizes fan out across the worker pool; all fields except
-/// the wall-clock `solve_micros` are bit-identical at any thread
-/// count (timing is inherently nondeterministic, sequential or not —
-/// but under a parallel policy it additionally includes cross-cell
-/// CPU contention, so use [`ExecPolicy::sequential`] when the
-/// timings are the measurement).
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] for an empty size list and
-/// propagates solver failures.
-pub fn run_scaling_with(
     curves: &CurveEstimate,
     support_sizes: &[usize],
     base: &Algorithm1Config,
@@ -158,9 +135,20 @@ mod tests {
         }
     }
 
+    /// The paper's scaling run: default Algorithm 1, one cell at a
+    /// time so the timings are undisturbed.
+    fn sequential(sizes: &[usize]) -> Result<ScalingResults, SimError> {
+        run_scaling(
+            &synthetic_estimate(),
+            sizes,
+            &Algorithm1Config::default(),
+            &ExecPolicy::sequential(),
+        )
+    }
+
     #[test]
     fn losses_weakly_improve_with_support_size() {
-        let r = run_scaling(&synthetic_estimate(), &[1, 2, 3, 4, 5]).unwrap();
+        let r = sequential(&[1, 2, 3, 4, 5]).unwrap();
         assert_eq!(r.rows.len(), 5);
         for w in r.rows.windows(2) {
             assert!(
@@ -174,7 +162,7 @@ mod tests {
 
     #[test]
     fn accuracy_plateaus_after_three() {
-        let r = run_scaling(&synthetic_estimate(), &[1, 2, 3, 4, 5]).unwrap();
+        let r = sequential(&[1, 2, 3, 4, 5]).unwrap();
         let gain = r.plateau_gain(3).unwrap();
         assert!(gain < 0.01, "accuracy still improving after n=3 by {gain}");
         assert!(r.plateau_gain(99).is_none());
@@ -182,12 +170,38 @@ mod tests {
 
     #[test]
     fn empty_sizes_rejected() {
-        assert!(run_scaling(&synthetic_estimate(), &[]).is_err());
+        assert!(sequential(&[]).is_err());
+    }
+
+    #[test]
+    fn parallel_policy_changes_only_the_timings() {
+        let reference = sequential(&[1, 2, 3, 4]).unwrap();
+        let parallel = run_scaling(
+            &synthetic_estimate(),
+            &[1, 2, 3, 4],
+            &Algorithm1Config::default(),
+            &ExecPolicy::with_threads(4),
+        )
+        .unwrap();
+        let untimed = |r: &ScalingResults| -> Vec<(usize, u64, u64, usize)> {
+            r.rows
+                .iter()
+                .map(|row| {
+                    (
+                        row.n_radii,
+                        row.defender_loss.to_bits(),
+                        row.predicted_accuracy.to_bits(),
+                        row.iterations,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(untimed(&reference), untimed(&parallel));
     }
 
     #[test]
     fn rows_record_time_and_iterations() {
-        let r = run_scaling(&synthetic_estimate(), &[2]).unwrap();
+        let r = sequential(&[2]).unwrap();
         assert!(r.rows[0].iterations > 0);
         // Wall-clock is platform-dependent; just require it recorded.
         assert!(r.rows[0].solve_micros > 0);

@@ -14,7 +14,8 @@
 //!   [`Default`] is the paper's triple, so every existing config and
 //!   experiment is unchanged until a scenario is opted into.
 //! * [`ScenarioBuilder`] — ergonomic construction.
-//! * [`ScenarioMatrix`] + [`run_matrix`] — the attack×defense×learner
+//! * [`ScenarioMatrix`] + [`crate::engine::EvalEngine::run_matrix`] —
+//!   the attack×defense×learner
 //!   cross-product, fanned out through the [`crate::exec`] worker pool
 //!   with per-cell derived seeds and collected into a long-format
 //!   result table (one row per cell).
@@ -753,7 +754,8 @@ pub struct MatrixResults {
     /// Filter strength every cell used.
     pub strength: f64,
     /// Cache/throughput measurements when run through the engine
-    /// (`None` on the plain [`run_matrix`] path).
+    /// (`None` on the [`run_matrix_prepared`] and [`run_matrix_with`]
+    /// paths).
     pub engine: Option<EngineStats>,
 }
 
@@ -853,21 +855,10 @@ impl MatrixResults {
     }
 }
 
-/// Run a scenario matrix on the default (fully parallel) execution
-/// policy.
-///
-/// # Errors
-///
-/// Same conditions as [`run_matrix_with`].
-pub fn run_matrix(
-    config: &ExperimentConfig,
-    matrix: &ScenarioMatrix,
-) -> Result<MatrixResults, SimError> {
-    run_matrix_with(config, matrix, &ExecPolicy::default())
-}
-
 /// Run every cell of the attack×defense×learner cross-product through
-/// the worker pool.
+/// the worker pool on a fresh preparation — the cold form of
+/// [`crate::engine::EvalEngine::run_matrix`], kept as the in-process
+/// reference the benchmark compares served cells against.
 ///
 /// The dataset is prepared once; each cell derives its own RNG from
 /// the master seed and its grid index via SplitMix64, so results are
@@ -890,7 +881,8 @@ pub fn run_matrix_with(
     run_matrix_prepared(&prepared, config, matrix, policy)
 }
 
-fn validate_matrix(matrix: &ScenarioMatrix) -> Result<(), SimError> {
+/// Reject an empty axis or an out-of-range strength.
+pub(crate) fn validate_matrix(matrix: &ScenarioMatrix) -> Result<(), SimError> {
     if matrix.is_empty() {
         return Err(SimError::BadParameter {
             what: "matrix axes",
@@ -907,7 +899,8 @@ fn validate_matrix(matrix: &ScenarioMatrix) -> Result<(), SimError> {
 }
 
 /// [`run_matrix_with`] against an already-prepared dataset — the
-/// evaluate phase of the engine's prepare → evaluate task graph.
+/// evaluate phase of [`crate::engine::EvalEngine::run_matrix`] and of
+/// the served `cell` and `matrix` requests.
 ///
 /// # Errors
 ///
@@ -925,6 +918,7 @@ pub fn run_matrix_prepared(
         &[],
         prepared.test(),
         FilterStrength::RemoveFraction(0.0),
+        &config.scenario,
         config,
     )?;
     let placement = hugging_placement(prepared, matrix.strength, matrix.placement_slack);
@@ -969,6 +963,7 @@ pub fn run_matrix_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EvalEngine;
     use crate::pipeline::DataSource;
 
     fn quick_config() -> ExperimentConfig {
@@ -1127,7 +1122,7 @@ mod tests {
             learners: vec![LearnerSpec::Svm],
             ..ScenarioMatrix::default()
         };
-        let mut results = run_matrix(&config, &matrix).unwrap();
+        let mut results = EvalEngine::new().run_matrix(&config, &matrix).unwrap();
         results.engine = Some(EngineStats {
             prep_hits: 1,
             prep_misses: 2,
@@ -1165,11 +1160,17 @@ mod tests {
             ..ScenarioMatrix::default()
         };
         assert!(empty.is_empty());
-        assert!(run_matrix(&config, &empty).is_err());
+        let engine = EvalEngine::new();
+        assert!(engine.run_matrix(&config, &empty).is_err());
         let bad = ScenarioMatrix {
             strength: 1.5,
             ..ScenarioMatrix::default()
         };
-        assert!(run_matrix(&config, &bad).is_err());
+        assert!(engine.run_matrix(&config, &bad).is_err());
+        assert_eq!(
+            engine.cache_stats().misses,
+            0,
+            "a bad matrix must not prepare"
+        );
     }
 }

@@ -10,7 +10,7 @@
 use crate::error::SimError;
 use crate::estimate::CurveEstimate;
 use crate::exec::{try_parallel_map, ExecPolicy};
-use crate::pipeline::{prepare, run_cell, ExperimentConfig, Prepared};
+use crate::pipeline::{run_cell, ExperimentConfig, Prepared};
 use poisongame_core::{Algorithm1, DefenderMixedStrategy};
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
@@ -49,44 +49,16 @@ pub struct Table1Results {
 }
 
 /// Empirically evaluate a mixed defense against its best-responding
-/// attacker: the attacker tries every support position (plus slack)
-/// and keeps the one minimizing the defender's expected accuracy.
+/// attacker on an already-prepared dataset: the attacker tries every
+/// support position (plus slack) and keeps the one minimizing the
+/// defender's expected accuracy.
+///
+/// The candidate placements fan out across the worker pool.
+/// Per-candidate RNGs derive from the master seed alone, and the worst
+/// candidate is chosen by an ordered scan, so the result is
+/// bit-identical at any thread count.
 ///
 /// Returns `(expected accuracy, attacker placement)`.
-///
-/// # Errors
-///
-/// Propagates pipeline failures.
-pub fn evaluate_mixed_defense(
-    config: &ExperimentConfig,
-    strategy: &DefenderMixedStrategy,
-    placement_slack: f64,
-) -> Result<(f64, f64), SimError> {
-    evaluate_mixed_defense_with(config, strategy, placement_slack, &ExecPolicy::default())
-}
-
-/// [`evaluate_mixed_defense`] with an explicit execution policy: the
-/// candidate placements fan out across the worker pool. Per-candidate
-/// RNGs derive from the master seed alone, and the worst candidate is
-/// chosen by an ordered scan, so the result is bit-identical to the
-/// sequential path.
-///
-/// # Errors
-///
-/// Propagates pipeline failures.
-pub fn evaluate_mixed_defense_with(
-    config: &ExperimentConfig,
-    strategy: &DefenderMixedStrategy,
-    placement_slack: f64,
-    policy: &ExecPolicy,
-) -> Result<(f64, f64), SimError> {
-    let prepared = prepare(config)?;
-    evaluate_mixed_defense_prepared(&prepared, config, strategy, placement_slack, policy)
-}
-
-/// [`evaluate_mixed_defense_with`] against an already-prepared
-/// dataset — lets callers evaluating many strategies under one config
-/// (Table 1) pay for [`prepare`] once.
 ///
 /// # Errors
 ///
@@ -135,69 +107,26 @@ pub fn evaluate_mixed_defense_prepared(
     Ok(worst)
 }
 
-/// Run the full Table 1 experiment.
-///
-/// `best_pure_accuracy` comes from the Figure 1 sweep (pass
-/// `Fig1Results::best_pure().accuracy_under_attack`).
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] for an empty size list and
-/// propagates solver/pipeline failures.
-pub fn run_table1(
-    config: &ExperimentConfig,
-    curves: &CurveEstimate,
-    support_sizes: &[usize],
-    best_pure_accuracy: f64,
-) -> Result<Table1Results, SimError> {
-    run_table1_with(
-        config,
-        curves,
-        support_sizes,
-        best_pure_accuracy,
-        &ExecPolicy::default(),
-    )
-}
-
-/// [`run_table1`] with an explicit execution policy. Each support size
-/// is an independent cell (Algorithm 1 solve + empirical best-response
-/// evaluation), fanned out across the worker pool; the empirical
-/// evaluation inside each cell runs sequentially to keep the pool
-/// simple. Results are bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] for an empty size list and
-/// propagates solver/pipeline failures.
-pub fn run_table1_with(
-    config: &ExperimentConfig,
-    curves: &CurveEstimate,
-    support_sizes: &[usize],
-    best_pure_accuracy: f64,
-    policy: &ExecPolicy,
-) -> Result<Table1Results, SimError> {
-    // Reject an empty size list before paying for dataset preparation.
+/// Reject an empty support-size list.
+pub(crate) fn validate_support_sizes(support_sizes: &[usize]) -> Result<(), SimError> {
     if support_sizes.is_empty() {
         return Err(SimError::BadParameter {
             what: "support_sizes",
             value: 0.0,
         });
     }
-    // One dataset preparation shared by every cell: `prepare` is a pure
-    // function of the config, so hoisting it cannot change results.
-    let prepared = prepare(config)?;
-    run_table1_prepared(
-        &prepared,
-        config,
-        curves,
-        support_sizes,
-        best_pure_accuracy,
-        policy,
-    )
+    Ok(())
 }
 
-/// [`run_table1_with`] against an already-prepared dataset — the
-/// evaluate phase of the engine's prepare → evaluate task graph.
+/// Run Table 1 against an already-prepared dataset — the evaluate
+/// phase of [`crate::engine::EvalEngine::run_table1`].
+///
+/// `best_pure_accuracy` comes from the Figure 1 sweep (pass
+/// `Fig1Results::best_pure().accuracy_under_attack`). Each support
+/// size is an independent cell (Algorithm 1 solve + empirical
+/// best-response evaluation), fanned out across the worker pool; the
+/// empirical evaluation inside each cell runs sequentially to keep the
+/// pool simple. Results are bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -211,12 +140,7 @@ pub fn run_table1_prepared(
     best_pure_accuracy: f64,
     policy: &ExecPolicy,
 ) -> Result<Table1Results, SimError> {
-    if support_sizes.is_empty() {
-        return Err(SimError::BadParameter {
-            what: "support_sizes",
-            value: 0.0,
-        });
-    }
+    validate_support_sizes(support_sizes)?;
     let game = curves.game()?;
     let rows = try_parallel_map(
         policy,
@@ -254,7 +178,7 @@ pub fn run_table1_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::estimate_curves;
+    use crate::engine::EvalEngine;
     use crate::pipeline::DataSource;
     use crate::scenario::Scenario;
     use poisongame_core::SolverKind;
@@ -277,9 +201,11 @@ mod tests {
     #[test]
     fn table1_rows_have_valid_strategies() {
         let config = quick_config();
-        let curves =
-            estimate_curves(&config, &[0.02, 0.1, 0.25, 0.4], &[0.0, 0.05, 0.15, 0.3]).unwrap();
-        let t = run_table1(&config, &curves, &[2], 0.8).unwrap();
+        let engine = EvalEngine::new();
+        let curves = engine
+            .estimate_curves(&config, &[0.02, 0.1, 0.25, 0.4], &[0.0, 0.05, 0.15, 0.3])
+            .unwrap();
+        let t = engine.run_table1(&config, &curves, &[2], 0.8).unwrap();
         assert_eq!(t.rows.len(), 1);
         let row = &t.rows[0];
         assert_eq!(row.support.len(), 2);
@@ -292,7 +218,52 @@ mod tests {
     #[test]
     fn empty_sizes_rejected() {
         let config = quick_config();
-        let curves = estimate_curves(&config, &[0.05, 0.2], &[0.0, 0.2]).unwrap();
-        assert!(run_table1(&config, &curves, &[], 0.8).is_err());
+        let engine = EvalEngine::new();
+        let curves = engine
+            .estimate_curves(&config, &[0.05, 0.2], &[0.0, 0.2])
+            .unwrap();
+        let before = engine.cache_stats();
+        assert!(matches!(
+            engine.run_table1(&config, &curves, &[], 0.8),
+            Err(SimError::BadParameter {
+                what: "support_sizes",
+                ..
+            })
+        ));
+        assert_eq!(
+            engine.cache_stats(),
+            before,
+            "an empty list must not prepare"
+        );
+    }
+
+    #[test]
+    fn mixed_defense_evaluation_is_thread_count_invariant() {
+        let config = quick_config();
+        let prepared = crate::pipeline::prepare(&config).unwrap();
+        let strategy = DefenderMixedStrategy::new(vec![0.05, 0.2], vec![0.6, 0.4]).unwrap();
+        let reference = evaluate_mixed_defense_prepared(
+            &prepared,
+            &config,
+            &strategy,
+            0.01,
+            &ExecPolicy::sequential(),
+        )
+        .unwrap();
+        // The attacker picks one of the support positions.
+        assert!(strategy.support().contains(&reference.1));
+        assert!((0.0..=1.0).contains(&reference.0));
+        for threads in [2, 8] {
+            let parallel = evaluate_mixed_defense_prepared(
+                &prepared,
+                &config,
+                &strategy,
+                0.01,
+                &ExecPolicy::with_threads(threads),
+            )
+            .unwrap();
+            assert_eq!(reference.0.to_bits(), parallel.0.to_bits());
+            assert_eq!(reference.1.to_bits(), parallel.1.to_bits());
+        }
     }
 }

@@ -8,14 +8,14 @@ use poisongame_core::ne::equalizing_strategy;
 use poisongame_core::{CostCurve, EffectCurve, PoisonGame, SolverKind};
 use poisongame_defense::CentroidEstimator;
 use poisongame_sim::engine::EvalEngine;
-use poisongame_sim::estimate::estimate_curves;
+use poisongame_sim::estimate::estimate_curves_prepared;
 use poisongame_sim::exec::ExecPolicy;
-use poisongame_sim::fig1::{run_fig1_with, Fig1Config};
-use poisongame_sim::monte_carlo::simulate_repeated_game_parallel;
-use poisongame_sim::pipeline::{DataSource, ExperimentConfig};
+use poisongame_sim::fig1::{run_fig1_prepared, Fig1Config};
+use poisongame_sim::monte_carlo::simulate_repeated_game;
+use poisongame_sim::pipeline::{prepare, DataSource, ExperimentConfig};
 use poisongame_sim::report::{fig1_csv, fig1_table, matrix_csv, table1_table};
-use poisongame_sim::scenario::{run_matrix_with, Scenario, ScenarioMatrix};
-use poisongame_sim::table1::run_table1_with;
+use poisongame_sim::scenario::{run_matrix_prepared, Scenario, ScenarioMatrix};
+use poisongame_sim::table1::run_table1_prepared;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -43,8 +43,8 @@ fn fig1_reports_are_byte_identical_across_thread_counts() {
     let reports: Vec<(String, String)> = THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            let r = run_fig1_with(&config, &sweep, &ExecPolicy::with_threads(threads))
-                .expect("sweep runs");
+            let engine = EvalEngine::with_policy(ExecPolicy::with_threads(threads));
+            let r = engine.run_fig1(&config, &sweep).expect("sweep runs");
             (fig1_csv(&r), fig1_table(&r))
         })
         .collect();
@@ -65,19 +65,17 @@ fn fig1_reports_are_byte_identical_across_thread_counts() {
 #[test]
 fn table1_reports_are_byte_identical_across_thread_counts() {
     let config = tiny_config();
-    let curves = estimate_curves(&config, &[0.02, 0.20], &[0.0, 0.15]).expect("curves estimate");
     let reports: Vec<String> = THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            let t = run_table1_with(
-                &config,
-                &curves,
-                &[2],
-                0.8,
-                &ExecPolicy::with_threads(threads),
-            )
-            .expect("table1 runs");
-            table1_table(&t)
+            let engine = EvalEngine::with_policy(ExecPolicy::with_threads(threads));
+            let curves = engine
+                .estimate_curves(&config, &[0.02, 0.20], &[0.0, 0.15])
+                .expect("curves estimate");
+            let t = engine
+                .run_table1(&config, &curves, &[2], 0.8)
+                .expect("table1 runs");
+            format!("{}{}", curves.to_json_string(), table1_table(&t))
         })
         .collect();
     for (threads, report) in THREAD_COUNTS.iter().zip(&reports).skip(1) {
@@ -90,9 +88,10 @@ fn table1_reports_are_byte_identical_across_thread_counts() {
 }
 
 /// The cached engine must be a pure wall-clock optimization: for the
-/// same seed, the warm (cache-hitting) run's serialized report is
-/// byte-identical to the cold per-cell evaluation, at every thread
-/// count — caching removes redundant identical computation only.
+/// same seed, every engine method's warm (cache-hitting) serialized
+/// report is byte-identical to a cold `prepare` followed by the same
+/// experiment's `_prepared` phase, at every thread count — caching
+/// removes redundant identical computation only.
 #[test]
 fn cached_engine_is_byte_identical_to_cold_evaluation() {
     let config = tiny_config();
@@ -114,9 +113,16 @@ fn cached_engine_is_byte_identical_to_cold_evaluation() {
         placement_slack: 0.01,
     };
 
-    // Cold references (no engine, fresh preparation per call).
-    let cold_matrix = run_matrix_with(&config, &matrix, &ExecPolicy::sequential()).unwrap();
-    let cold_fig1 = run_fig1_with(&config, &sweep, &ExecPolicy::sequential()).unwrap();
+    let (placements, strengths) = ([0.02, 0.20], [0.0, 0.15]);
+
+    // Cold references: no engine, one fresh preparation.
+    let sequential = ExecPolicy::sequential();
+    let cold = prepare(&config).unwrap();
+    let cold_matrix = run_matrix_prepared(&cold, &config, &matrix, &sequential).unwrap();
+    let cold_fig1 = run_fig1_prepared(&cold, &config, &sweep, &sequential).unwrap();
+    let cold_curves = estimate_curves_prepared(&cold, &config, &placements, &strengths).unwrap();
+    let cold_table1 =
+        run_table1_prepared(&cold, &config, &cold_curves, &[2], 0.8, &sequential).unwrap();
 
     for &threads in &THREAD_COUNTS {
         let engine = EvalEngine::with_policy(ExecPolicy::with_threads(threads));
@@ -137,16 +143,37 @@ fn cached_engine_is_byte_identical_to_cold_evaluation() {
             fig1_csv(&cold_fig1).as_bytes(),
             "cached fig1 diverged from cold at {threads} threads"
         );
+
+        let cached_curves = engine
+            .estimate_curves(&config, &placements, &strengths)
+            .unwrap();
+        assert_eq!(
+            cached_curves.to_json_string().as_bytes(),
+            cold_curves.to_json_string().as_bytes(),
+            "cached curve estimate diverged from cold at {threads} threads"
+        );
+
+        let cached_table1 = engine
+            .run_table1(&config, &cached_curves, &[2], 0.8)
+            .unwrap();
+        assert_eq!(
+            format!("{cached_table1:?}").as_bytes(),
+            format!("{cold_table1:?}").as_bytes(),
+            "cached table1 diverged from cold at {threads} threads"
+        );
+        // Only the first matrix run prepared; every later method hit.
+        assert_eq!(engine.cache_stats().misses, 1);
     }
 }
 
 /// Online play is a sequential loop over a payoff grid materialized
 /// in parallel: the trace (regrets, exploitability, averaged
 /// strategies — all floats) must be byte-identical at any worker
-/// count, on both the batch and the lazy engine-backed routes.
+/// count, and the served route (a cold `prepare` plus
+/// `run_online_prepared`) must match the engine route.
 #[test]
 fn online_traces_are_byte_identical_across_worker_counts() {
-    use poisongame_online::{run_online, run_online_engine, LearnerKind, OnlineSpec};
+    use poisongame_online::{run_online, run_online_prepared, LearnerKind, OnlineSpec};
 
     let config = tiny_config();
     let spec = OnlineSpec {
@@ -161,9 +188,8 @@ fn online_traces_are_byte_identical_across_worker_counts() {
     let reports: Vec<String> = THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            let engine = EvalEngine::new();
-            let outcome = run_online(&engine, &config, &spec, &ExecPolicy::with_threads(threads))
-                .expect("online run");
+            let engine = EvalEngine::with_policy(ExecPolicy::with_threads(threads));
+            let outcome = run_online(&engine, &config, &spec).expect("online run");
             outcome.trace.to_json_string()
         })
         .collect();
@@ -175,13 +201,15 @@ fn online_traces_are_byte_identical_across_worker_counts() {
         );
     }
 
-    // The lazy engine-backed schedule produces the same bytes too.
-    let engine = EvalEngine::new();
-    let lazy = run_online_engine(&engine, &config, &spec).expect("lazy online run");
+    // The serving identity: what the server computes after its own
+    // preparation is what the engine route returns.
+    let prepared = prepare(&config).unwrap();
+    let served = run_online_prepared(&prepared, &config, &spec, &ExecPolicy::sequential())
+        .expect("served online run");
     assert_eq!(
-        lazy.trace.to_json_string().as_bytes(),
+        served.to_json_string().as_bytes(),
         reports[0].as_bytes(),
-        "lazy route diverged from the parallel route"
+        "served route diverged from the engine route"
     );
 }
 
@@ -201,7 +229,7 @@ fn monte_carlo_results_are_byte_identical_across_thread_counts() {
     let reports: Vec<String> = THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            let mc = simulate_repeated_game_parallel(
+            let mc = simulate_repeated_game(
                 &game,
                 &strategy,
                 10_000,

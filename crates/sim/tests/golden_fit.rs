@@ -13,8 +13,9 @@
 //!   owned dataset and on a copy-on-write poisoned view;
 //! - the `Debug` form of every fit error: an empty set, a single-class
 //!   set, zero epochs and a bad λ;
-//! - `run_fig1`, `estimate_curves`, `run_table1` and a 4 attacks ×
-//!   3 filters × 3 learners `run_matrix` at quick scale (400 rows,
+//! - the `EvalEngine` experiments `run_fig1`, `estimate_curves`,
+//!   `run_table1` and a 4 attacks × 3 filters × 3 learners
+//!   `run_matrix` at quick scale (400 rows,
 //!   30 epochs).
 //!
 //! Any change to these outputs must be deliberate: it changes every
@@ -28,11 +29,10 @@ use poisongame_ml::perceptron::AveragedPerceptron;
 use poisongame_ml::schedule::Schedule;
 use poisongame_ml::svm::LinearSvm;
 use poisongame_ml::{Classifier, MlError, TrainConfig};
-use poisongame_sim::estimate::estimate_curves;
-use poisongame_sim::fig1::{run_fig1, Fig1Config};
+use poisongame_sim::engine::EvalEngine;
+use poisongame_sim::fig1::Fig1Config;
 use poisongame_sim::pipeline::{DataSource, EvalOutcome, ExperimentConfig};
-use poisongame_sim::scenario::{run_matrix, AttackSpec, DefenseSpec, LearnerSpec, ScenarioMatrix};
-use poisongame_sim::table1::run_table1;
+use poisongame_sim::scenario::{AttackSpec, DefenseSpec, LearnerSpec, ScenarioMatrix};
 use rand::SeedableRng;
 
 /// Digest of the fit grid below, recorded on the per-learner loops.
@@ -202,16 +202,18 @@ fn quick_config() -> ExperimentConfig {
 
 fn experiments_digest() -> u64 {
     let config = quick_config();
+    let engine = EvalEngine::new();
     let mut h = Fnv::new();
 
-    let fig1 = run_fig1(
-        &config,
-        &Fig1Config {
-            strengths: vec![0.0, 0.05, 0.15, 0.30],
-            placement_slack: 0.01,
-        },
-    )
-    .unwrap();
+    let fig1 = engine
+        .run_fig1(
+            &config,
+            &Fig1Config {
+                strengths: vec![0.0, 0.05, 0.15, 0.30],
+                placement_slack: 0.01,
+            },
+        )
+        .unwrap();
     h.f64(fig1.baseline_accuracy);
     h.u64(fig1.n_poison as u64);
     for row in &fig1.rows {
@@ -221,7 +223,9 @@ fn experiments_digest() -> u64 {
         h.f64(row.poison_recall);
     }
 
-    let curves = estimate_curves(&config, &[0.02, 0.10, 0.25], &[0.0, 0.10, 0.25]).unwrap();
+    let curves = engine
+        .estimate_curves(&config, &[0.02, 0.10, 0.25], &[0.0, 0.10, 0.25])
+        .unwrap();
     h.f64(curves.baseline_accuracy);
     for &(x, y) in curves.effect_samples.iter().chain(&curves.cost_samples) {
         h.f64(x);
@@ -229,7 +233,9 @@ fn experiments_digest() -> u64 {
     }
 
     let best_pure = fig1.best_pure().accuracy_under_attack;
-    let table1 = run_table1(&config, &curves, &[1, 2, 3], best_pure).unwrap();
+    let table1 = engine
+        .run_table1(&config, &curves, &[1, 2, 3], best_pure)
+        .unwrap();
     h.f64(table1.baseline_accuracy);
     h.f64(table1.best_pure_accuracy);
     for row in &table1.rows {
@@ -265,7 +271,7 @@ fn experiments_digest() -> u64 {
         strength: 0.15,
         placement_slack: 0.01,
     };
-    let results = run_matrix(&config, &matrix).unwrap();
+    let results = engine.run_matrix(&config, &matrix).unwrap();
     assert_eq!(results.cells.len(), 36);
     h.f64(results.baseline_accuracy);
     h.u64(results.n_poison as u64);

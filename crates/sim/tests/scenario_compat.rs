@@ -12,8 +12,8 @@ use poisongame_linalg::Xoshiro256StarStar;
 use poisongame_ml::svm::LinearSvm;
 use poisongame_ml::Classifier;
 use poisongame_sim::pipeline::{
-    attack_filter_train_eval, filter_train_eval, hugging_placement, prepare, run_cell, DataSource,
-    EvalOutcome, ExperimentConfig, Prepared,
+    filter_train_eval, hugging_placement, prepare, run_cell, DataSource, EvalOutcome,
+    ExperimentConfig, Prepared,
 };
 use poisongame_sim::scenario::Scenario;
 use rand::SeedableRng;
@@ -90,8 +90,15 @@ fn default_scenario_clean_path_matches_hardcoded_pipeline() {
     let prepared = prepare(&config).unwrap();
     for theta in [0.0, 0.08, 0.25] {
         let strength = FilterStrength::RemoveFraction(theta);
-        let new = filter_train_eval(prepared.train(), &[], prepared.test(), strength, &config)
-            .expect("dispatch path runs");
+        let new = filter_train_eval(
+            prepared.train(),
+            &[],
+            prepared.test(),
+            strength,
+            &config.scenario,
+            &config,
+        )
+        .expect("dispatch path runs");
         let old = old_filter_train_eval(prepared.train(), &[], prepared.test(), strength, &config);
         assert_bit_identical(&new, &old, &format!("clean θ={theta}"));
     }
@@ -106,27 +113,20 @@ fn default_scenario_attack_path_matches_hardcoded_pipeline() {
         let strength = FilterStrength::RemoveFraction(theta);
 
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let new = attack_filter_train_eval(&prepared, placement, strength, &config, &mut rng)
-            .expect("dispatch path runs");
-
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let old = old_attack_filter_train_eval(&prepared, placement, strength, &config, &mut rng);
-
-        assert_bit_identical(&new, &old, &format!("attacked θ={theta} seed={seed}"));
-
-        // `run_cell` with an explicit default scenario is the same
-        // dispatch point the matrix uses — it must agree too.
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let cell = run_cell(
+        let new = run_cell(
             &prepared,
-            &Scenario::default(),
+            &config.scenario,
             placement,
             strength,
             &config,
             &mut rng,
         )
-        .expect("run_cell runs");
-        assert_bit_identical(&cell, &old, &format!("run_cell θ={theta} seed={seed}"));
+        .expect("dispatch path runs");
+
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let old = old_attack_filter_train_eval(&prepared, placement, strength, &config, &mut rng);
+
+        assert_bit_identical(&new, &old, &format!("attacked θ={theta} seed={seed}"));
     }
 }
 

@@ -2,19 +2,19 @@
 //! the paper's static equilibrium by playing it.
 //!
 //! Part 1 plays 10,000 rounds of no-regret self-play on the
-//! discretized paper game (memoized payoff-matrix mode) and compares
+//! discretized paper game (precomputed payoff matrix) and compares
 //! both the wall-clock and the converged value against the one-shot
 //! simplex solve — the repeated game runs in the same order of
 //! magnitude as solving the static game once.
 //!
 //! Part 2 runs the empirical mode on real (synthetic-Spambase) data:
-//! every payoff-grid cell is an actual attack → filter → train →
-//! evaluate run routed through the `EvalEngine`, so repeated queries
-//! hit the preparation cache instead of re-preparing the dataset.
+//! the dataset is prepared once through the `EvalEngine`, and every
+//! payoff-grid cell is an actual attack → filter → train → evaluate
+//! run on that preparation.
 //!
 //! Used as a CI smoke: the assertions at the bottom (regret shrinks,
-//! the averaged value lands on the NE, cache hits dominate) fail the
-//! run loudly if online play regresses.
+//! the averaged value lands on the NE, the trace does not depend on
+//! the worker count) fail the run loudly if online play regresses.
 //!
 //! ```sh
 //! cargo run --release --example online_play
@@ -22,11 +22,10 @@
 
 use poisongame::core::bridge::{discretized_game, solve_discretized};
 use poisongame::core::paper::paper_game;
-use poisongame::online::payoff::MatrixPayoff;
 use poisongame::online::pipeline::materialize_grid;
 use poisongame::online::play::{play, PlayConfig};
 use poisongame::online::report::online_table;
-use poisongame::online::{run_online, run_online_engine, LearnerKind, OnlineSpec};
+use poisongame::online::{run_online, LearnerKind, OnlineSpec};
 use poisongame::sim::exec::ExecPolicy;
 use poisongame::sim::pipeline::{DataSource, ExperimentConfig};
 use poisongame::sim::EvalEngine;
@@ -52,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let t0 = Instant::now();
     let trace = play(
-        &mut MatrixPayoff::new(matrix),
+        &matrix,
         &PlayConfig {
             rounds: 10_000,
             attacker: LearnerKind::RegretMatching,
@@ -99,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(last.ne_gap <= 1e-2, "NE gap too large: {}", last.ne_gap);
     assert_eq!(trace.ne_value.to_bits(), lp.value.to_bits());
 
-    // ---- Part 2: the empirical engine-backed mode ------------------
+    // ---- Part 2: the empirical mode on real data -------------------
     let config = ExperimentConfig {
         seed: 11,
         source: DataSource::SyntheticSpambase { rows: 300 },
@@ -117,9 +116,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The static reference on the *same* empirical game: materialize
     // the payoff grid, solve it once. Sequential materialization, like
-    // the lazy route below — the comparison is about what the 10k
-    // rounds add, not about worker counts, and a parallel reference
-    // would make the CI timing assertion core-count-dependent.
+    // the timed run below — the comparison is about what the 10k
+    // rounds add, not about worker counts, and a parallel run would
+    // make the CI timing assertion core-count-dependent.
     let static_engine = EvalEngine::new();
     let t0 = Instant::now();
     let static_prepared = static_engine.prepare(&config)?;
@@ -128,44 +127,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let static_value = SolverKind::Simplex.solve(&static_game)?.value;
     let static_micros = t0.elapsed().as_micros();
 
-    let engine = EvalEngine::new();
+    let engine = EvalEngine::with_policy(ExecPolicy::sequential());
     let t0 = Instant::now();
-    let lazy = run_online_engine(&engine, &config, &spec)?;
-    let lazy_micros = t0.elapsed().as_micros();
-    let stats = lazy.engine.expect("engine stats");
+    let online = run_online(&engine, &config, &spec)?;
+    let online_micros = t0.elapsed().as_micros();
     println!(
         "empirical mode: {} cells + {} rounds on real data in {:.1} ms \
          (static solve of the same game: {:.1} ms, value {:.4})",
-        stats.cells,
+        online.engine.cells,
         spec.rounds,
-        lazy_micros as f64 / 1000.0,
+        online_micros as f64 / 1000.0,
         static_micros as f64 / 1000.0,
         static_value
     );
     // Same order of magnitude end to end: cell evaluation dominates,
-    // the 10k memoized rounds are marginal.
+    // the 10k matrix rounds are marginal.
     assert!(
-        lazy_micros <= static_micros.max(1) * 10,
-        "T=10k empirical run ({lazy_micros}us) should be within one order \
+        online_micros <= static_micros.max(1) * 10,
+        "T=10k empirical run ({online_micros}us) should be within one order \
          of the static solve ({static_micros}us)"
     );
-    println!(
-        "  prep cache: {} hits / {} misses — repeated payoff queries share one preparation",
-        stats.prep_hits, stats.prep_misses
-    );
-    let last = lazy.trace.last();
+    let last = online.trace.last();
     println!(
         "  {} vs {} after {} rounds: averaged value {:.4}, NE gap {:.2e}, exploitability {:.2e}",
-        lazy.trace.attacker,
-        lazy.trace.defender,
-        lazy.trace.rounds,
+        online.trace.attacker,
+        online.trace.defender,
+        online.trace.rounds,
         last.average_value,
         last.ne_gap,
         last.exploitability
-    );
-    assert!(
-        stats.prep_hits > stats.prep_misses,
-        "engine-backed payoffs must hit the prep cache: {stats:?}"
     );
     assert!(
         last.ne_gap <= 1e-2,
@@ -173,13 +163,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         last.ne_gap
     );
 
-    // The parallel-materialization route is bit-identical.
-    let engine2 = EvalEngine::new();
-    let batch = run_online(&engine2, &config, &spec, &ExecPolicy::default())?;
+    // Parallel materialization on the default policy is bit-identical.
+    let parallel = run_online(&EvalEngine::new(), &config, &spec)?;
     assert_eq!(
-        batch.trace.to_json_string(),
-        lazy.trace.to_json_string(),
-        "parallel and lazy routes diverged"
+        parallel.trace.to_json_string(),
+        online.trace.to_json_string(),
+        "sequential and parallel policies diverged"
     );
     println!("  parallel materialization: bit-identical trace — OK");
 

@@ -6,18 +6,27 @@
 //! cargo run --release --example scaling_support_size
 //! ```
 
-use poisongame::sim::estimate::{default_placements, default_strengths, estimate_curves};
+use poisongame::core::Algorithm1Config;
+use poisongame::sim::estimate::{default_placements, default_strengths};
 use poisongame::sim::pipeline::ExperimentConfig;
 use poisongame::sim::report::scaling_table;
 use poisongame::sim::scaling::run_scaling;
+use poisongame::sim::{EvalEngine, ExecPolicy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ExperimentConfig::paper().quick();
     eprintln!("estimating curves...");
-    let curves = estimate_curves(&config, &default_placements(), &default_strengths())?;
+    let curves =
+        EvalEngine::new().estimate_curves(&config, &default_placements(), &default_strengths())?;
 
     eprintln!("solving Algorithm 1 for n = 1..=5...");
-    let results = run_scaling(&curves, &[1, 2, 3, 4, 5])?;
+    // One solve at a time: the solve times are the measurement.
+    let results = run_scaling(
+        &curves,
+        &[1, 2, 3, 4, 5],
+        &Algorithm1Config::default(),
+        &ExecPolicy::sequential(),
+    )?;
     println!("{}", scaling_table(&results));
 
     if let Some(gain) = results.plateau_gain(3) {

@@ -17,16 +17,17 @@
 use poisongame::core::{Algorithm1, Algorithm1Config};
 use poisongame::defense::FilterStrength;
 use poisongame::linalg::Xoshiro256StarStar;
-use poisongame::sim::estimate::{default_placements, default_strengths, estimate_curves};
-use poisongame::sim::pipeline::{
-    attack_filter_train_eval, filter_train_eval, hugging_placement, prepare, ExperimentConfig,
-};
-use poisongame::sim::table1::evaluate_mixed_defense;
+use poisongame::sim::estimate::{default_placements, default_strengths};
+use poisongame::sim::pipeline::{filter_train_eval, hugging_placement, run_cell, ExperimentConfig};
+use poisongame::sim::table1::evaluate_mixed_defense_prepared;
+use poisongame::sim::EvalEngine;
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ExperimentConfig::paper().quick();
-    let prepared = prepare(&config)?;
+    // One engine prepares the corpus once; every posture below reuses it.
+    let engine = EvalEngine::new();
+    let prepared = engine.prepare(&config)?;
     println!("== the spam-filter war ==");
     println!(
         "mail corpus: {} train / {} test, attacker forges {} messages (20%)\n",
@@ -38,8 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Posture 1 — no sanitization: the attacker parks poison at the
     // very edge of the data.
     let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed ^ 1);
-    let no_defense = attack_filter_train_eval(
+    let no_defense = run_cell(
         &prepared,
+        &config.scenario,
         0.01,
         FilterStrength::RemoveFraction(0.0),
         &config,
@@ -50,6 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[],
         prepared.test(),
         FilterStrength::RemoveFraction(0.0),
+        &config.scenario,
         &config,
     )?;
     println!(
@@ -64,8 +67,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Posture 2 — fixed filter, attacker reads the runbook and hugs it.
     let theta = 0.15;
     let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed ^ 2);
-    let hugged = attack_filter_train_eval(
+    let hugged = run_cell(
         &prepared,
+        &config.scenario,
         hugging_placement(&prepared, theta, 0.01),
         FilterStrength::RemoveFraction(theta),
         &config,
@@ -79,8 +83,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Posture 3 — same filter, oblivious attacker (places at the edge).
     let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed ^ 3);
-    let oblivious = attack_filter_train_eval(
+    let oblivious = run_cell(
         &prepared,
+        &config.scenario,
         0.01,
         FilterStrength::RemoveFraction(theta),
         &config,
@@ -94,13 +99,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Posture 4 — the equilibrium mixed defense.
     println!("\nderiving the mixed-strategy equilibrium defense...");
-    let curves = estimate_curves(&config, &default_placements(), &default_strengths())?;
+    let curves = engine.estimate_curves(&config, &default_placements(), &default_strengths())?;
     let result = Algorithm1::new(Algorithm1Config {
         n_radii: 3,
         ..Default::default()
     })
     .solve(&curves.game()?)?;
-    let (mixed_acc, placement) = evaluate_mixed_defense(&config, &result.strategy, 0.01)?;
+    let (mixed_acc, placement) = evaluate_mixed_defense_prepared(
+        &prepared,
+        &config,
+        &result.strategy,
+        0.01,
+        engine.policy(),
+    )?;
     println!("   strategy: {}", result.strategy);
     println!(
         "4. mixed equilibrium defense:          {:.4} (attacker best-responds at {:.1}%)",

@@ -30,12 +30,14 @@
 //!
 //! ```no_run
 //! use poisongame::core::{Algorithm1, Algorithm1Config};
-//! use poisongame::sim::estimate::{default_placements, default_strengths, estimate_curves};
+//! use poisongame::sim::estimate::{default_placements, default_strengths};
 //! use poisongame::sim::pipeline::ExperimentConfig;
+//! use poisongame::sim::EvalEngine;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let engine = EvalEngine::new();
 //! let config = ExperimentConfig::paper().quick();
-//! let curves = estimate_curves(&config, &default_placements(), &default_strengths())?;
+//! let curves = engine.estimate_curves(&config, &default_placements(), &default_strengths())?;
 //! let game = curves.game()?;
 //! let defense = Algorithm1::new(Algorithm1Config { n_radii: 3, ..Default::default() })
 //!     .solve(&game)?;

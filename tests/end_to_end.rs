@@ -5,11 +5,10 @@ use poisongame::core::ne::diagnose;
 use poisongame::core::SolverKind;
 use poisongame::core::{Algorithm1, Algorithm1Config, DefenderMixedStrategy};
 use poisongame::defense::CentroidEstimator;
-use poisongame::sim::estimate::estimate_curves;
-use poisongame::sim::fig1::{run_fig1, Fig1Config};
+use poisongame::sim::fig1::Fig1Config;
 use poisongame::sim::pipeline::{DataSource, ExperimentConfig};
 use poisongame::sim::scenario::Scenario;
-use poisongame::sim::table1::run_table1;
+use poisongame::sim::EvalEngine;
 
 fn quick_config(seed: u64) -> ExperimentConfig {
     ExperimentConfig {
@@ -27,11 +26,12 @@ fn quick_config(seed: u64) -> ExperimentConfig {
 
 #[test]
 fn fig1_reproduces_paper_shape() {
+    let engine = EvalEngine::new();
     let sweep = Fig1Config {
         strengths: vec![0.0, 0.05, 0.10, 0.20, 0.30],
         placement_slack: 0.01,
     };
-    let r = run_fig1(&quick_config(11), &sweep).unwrap();
+    let r = engine.run_fig1(&quick_config(11), &sweep).unwrap();
 
     // Shape check 1: the unfiltered attack does real damage.
     let at_zero = r.rows[0].accuracy_under_attack;
@@ -55,9 +55,11 @@ fn fig1_reproduces_paper_shape() {
 
 #[test]
 fn curves_feed_algorithm1_and_satisfy_ne_conditions() {
+    let engine = EvalEngine::new();
     let config = quick_config(23);
-    let curves =
-        estimate_curves(&config, &[0.02, 0.10, 0.20, 0.35], &[0.0, 0.05, 0.15, 0.30]).unwrap();
+    let curves = engine
+        .estimate_curves(&config, &[0.02, 0.10, 0.20, 0.35], &[0.0, 0.05, 0.15, 0.30])
+        .unwrap();
     let game = curves.game().unwrap();
     let result = Algorithm1::with_support_size(2).solve(&game).unwrap();
 
@@ -83,6 +85,7 @@ fn curves_feed_algorithm1_and_satisfy_ne_conditions() {
 
 #[test]
 fn solver_is_swappable_via_experiment_config() {
+    let engine = EvalEngine::new();
     // The acceptance bar for the solver refactor: every solver is
     // selectable purely through configuration, and the experiment
     // output stays a valid mixed defense regardless of the choice.
@@ -91,7 +94,9 @@ fn solver_is_swappable_via_experiment_config() {
     config.source = DataSource::SyntheticSpambase { rows: 500 };
     // Opt into the warm start so the solver choice reaches Algorithm 1.
     config.warm_start = true;
-    let curves = estimate_curves(&config, &[0.02, 0.15, 0.35], &[0.0, 0.1, 0.3]).unwrap();
+    let curves = engine
+        .estimate_curves(&config, &[0.02, 0.15, 0.35], &[0.0, 0.1, 0.3])
+        .unwrap();
     let game = curves.game().unwrap();
 
     for solver in [
@@ -101,7 +106,7 @@ fn solver_is_swappable_via_experiment_config() {
         SolverKind::MultiplicativeWeights,
     ] {
         config.solver = solver;
-        let t = run_table1(&config, &curves, &[2], 0.8).unwrap();
+        let t = engine.run_table1(&config, &curves, &[2], 0.8).unwrap();
         let row = &t.rows[0];
         assert_eq!(row.support.len(), 2, "{solver:?}");
         assert!(
@@ -125,21 +130,24 @@ fn solver_is_swappable_via_experiment_config() {
 
 #[test]
 fn table1_mixed_defense_close_to_or_above_best_pure() {
+    let engine = EvalEngine::new();
     let config = quick_config(37);
     let sweep = Fig1Config {
         strengths: vec![0.0, 0.05, 0.15, 0.30],
         placement_slack: 0.01,
     };
-    let fig1 = run_fig1(&config, &sweep).unwrap();
-    let curves =
-        estimate_curves(&config, &[0.02, 0.10, 0.20, 0.35], &[0.0, 0.05, 0.15, 0.30]).unwrap();
-    let t = run_table1(
-        &config,
-        &curves,
-        &[2],
-        fig1.best_pure().accuracy_under_attack,
-    )
-    .unwrap();
+    let fig1 = engine.run_fig1(&config, &sweep).unwrap();
+    let curves = engine
+        .estimate_curves(&config, &[0.02, 0.10, 0.20, 0.35], &[0.0, 0.05, 0.15, 0.30])
+        .unwrap();
+    let t = engine
+        .run_table1(
+            &config,
+            &curves,
+            &[2],
+            fig1.best_pure().accuracy_under_attack,
+        )
+        .unwrap();
     let row = &t.rows[0];
     // The pure sweep's best point benefits from evaluation noise (a max
     // over noisy measurements), so allow a small tolerance — at paper
